@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"sync"
@@ -54,12 +55,37 @@ type NetLoadResult struct {
 	SrvP99    time.Duration   // server-side batch-execute latency p99 (0 if unknown)
 	Traces    []client.Trace  // end-to-end stage samples, when tracing was requested
 	Lats      []time.Duration // sorted latency samples behind P50/P99 (bounded per worker,
-	// decimated on long runs) — E16 computes SLO goodput from them
+	// a uniform sample on long runs) — E16 computes SLO goodput from them
 }
 
 // latencySamples bounds per-worker latency recording so long runs do
-// not grow memory without bound; beyond it, sampling decimates.
+// not grow memory without bound; beyond it, a reservoir keeps a uniform
+// sample.
 const latencySamples = 1 << 15
+
+// latSampler keeps a uniform random sample of at most latencySamples
+// latencies from a stream of unknown length (reservoir sampling,
+// Vitter's Algorithm R): once full, the n-th latency replaces a random
+// kept one with probability latencySamples/n, so early and late
+// latencies stay equally represented however long the run.
+type latSampler struct {
+	kept []time.Duration
+	seen uint64
+	rng  *rand.Rand
+}
+
+func newLatSampler(seed uint64) *latSampler {
+	return &latSampler{kept: make([]time.Duration, 0, 4096), rng: rand.New(rand.NewPCG(seed, 0x6c617473))}
+}
+
+func (s *latSampler) add(d time.Duration) {
+	s.seen++
+	if len(s.kept) < latencySamples {
+		s.kept = append(s.kept, d)
+	} else if j := s.rng.Uint64N(s.seen); j < latencySamples {
+		s.kept[j] = d
+	}
+}
 
 // traceSamples bounds per-worker trace collection, like latencySamples
 // bounds latency recording.
@@ -116,7 +142,7 @@ func NetLoadClosedLoop(addr string, conns, workers, w int, dur time.Duration, tr
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			lat := make([]time.Duration, 0, 4096)
+			lat := newLatSampler(uint64(g))
 			var trs []client.Trace
 			var done, failed int64
 			var err1 error
@@ -124,7 +150,7 @@ func NetLoadClosedLoop(addr string, conns, workers, w int, dur time.Duration, tr
 			for {
 				select {
 				case <-stopped:
-					counts[g], lats[g] = done, lat
+					counts[g], lats[g] = done, lat.kept
 					errCount[g], lastErr[g] = failed, err1
 					traces[g] = trs
 					return
@@ -151,11 +177,7 @@ func NetLoadClosedLoop(addr string, conns, workers, w int, dur time.Duration, tr
 				if tr != nil {
 					trs = append(trs, *tr)
 				}
-				if len(lat) < latencySamples {
-					lat = append(lat, d)
-				} else if done%16 == 0 { // decimate once full, keeping tail coverage
-					lat[int(done/16)%latencySamples] = d
-				}
+				lat.add(d)
 			}
 		}(g)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,28 @@ func TestNetLoadClosedLoop(t *testing.T) {
 	}
 	if res.AvgBatch <= 0 {
 		t.Fatalf("no batching stats: %+v", res)
+	}
+}
+
+// TestLatSamplerUniform feeds a ramp eight times the sample bound
+// through the latency sampler: the kept sample's median must land on
+// the ramp's median. Overwriting a fixed slot pattern once the buffer
+// is full keeps mostly early values instead, and its median lands near
+// an eighth of the true one.
+func TestLatSamplerUniform(t *testing.T) {
+	const n = 8 * latencySamples
+	s := newLatSampler(1)
+	for i := 0; i < n; i++ {
+		s.add(time.Duration(i))
+	}
+	if len(s.kept) != latencySamples {
+		t.Fatalf("kept %d samples, want %d", len(s.kept), latencySamples)
+	}
+	kept := slices.Clone(s.kept)
+	slices.Sort(kept)
+	got, want := kept[len(kept)/2], time.Duration(n/2)
+	if d := got - want; d > n/50 || -d > n/50 {
+		t.Fatalf("kept median %d, want %d ± %d", got, want, n/50)
 	}
 }
 

@@ -5,13 +5,19 @@
 // deadline defaults, and a status-aware retry policy).
 //
 // Every call is safe for concurrent use. Calls are spread round-robin
-// over the pool's connections; on each connection a writer goroutine
-// drains a send queue and flushes only when the queue runs empty, so
-// concurrent callers' requests coalesce into few syscalls and pipeline
-// through the server's batch executor without any explicit batch API.
-// A reader goroutine matches responses — which the server may reorder —
-// back to callers by request id. Contexts are honored: a canceled call
-// abandons its slot (the response, when it arrives, is dropped).
+// over the pool's connections. On each connection, a call that finds
+// the send queue empty and the writer idle writes and flushes its own
+// frame, so an unpipelined call pays no goroutine handoff. Otherwise the
+// call enqueues its request, and a writer goroutine drains the queue
+// and flushes only when it runs empty, so concurrent callers' requests
+// coalesce into few syscalls and pipeline through the server's batch
+// executor without any explicit batch API. Only a call whose context
+// can never end writes its own frame: a write into a full socket
+// blocks, and a call that can be canceled must wait where cancellation
+// reaches it. A reader goroutine matches responses — which the server
+// may reorder — back to callers by request id. Contexts are honored: a
+// canceled call abandons its slot (the response, when it arrives, is
+// dropped).
 //
 // # Failure semantics
 //
@@ -51,6 +57,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,10 +183,11 @@ type Trace struct {
 	// client to generate one (filled in before the request is sent).
 	ID uint64
 	// QueueWait is the send-queue wait: from the call enqueueing its
-	// encoded request to the writer goroutine picking it up.
+	// encoded request to the writer goroutine picking it up. It is about
+	// zero when the call found the writer idle and wrote its own frame.
 	QueueWait time.Duration
-	// RoundTrip covers the wire and the server: from the writer picking
-	// the request up to the response being decoded.
+	// RoundTrip covers the wire and the server: from the request's frame
+	// entering the write buffer to the response being decoded.
 	RoundTrip time.Duration
 	// Total is the call's full client-side duration (QueueWait +
 	// RoundTrip, measured independently).
@@ -608,9 +616,11 @@ func wordsOf(rows [][]uint64) int {
 }
 
 // pending is one in-flight request's completion slot. sentNS is the
-// wall-clock instant the writer goroutine dequeued the request, stored
-// atomically because no other happens-before edge links the writer to
-// the caller that reads it after completion.
+// wall-clock instant the request's frame entered the write buffer, set
+// by the writer goroutine on dequeue or by the caller on the inline
+// path. It is stored atomically because no other happens-before edge
+// links the writer goroutine to the caller that reads it after
+// completion.
 type pending struct {
 	done   chan struct{}
 	resp   wire.Response
@@ -626,14 +636,21 @@ type sendReq struct {
 	traced  *pending
 }
 
-// conn is one pooled connection: a send queue drained by a writer
-// goroutine (coalescing frames) and a reader goroutine completing
+// conn is one pooled connection: a write buffer filled inline by
+// callers that find the writer idle, a send queue drained by a writer
+// goroutine (coalescing frames), and a reader goroutine completing
 // pendings by id.
 type conn struct {
 	nc     net.Conn
 	send   chan sendReq  // encoded requests awaiting the writer
 	dead   chan struct{} // closed when the conn fails or is closed
 	close1 sync.Once
+
+	// wmu guards bw. The writer goroutine holds it while it drains send;
+	// an inline caller holds it while it writes its own frame. Either
+	// flushes before letting go.
+	wmu sync.Mutex
+	bw  *bufio.Writer
 
 	mu     sync.Mutex
 	pend   map[uint64]*pending
@@ -646,6 +663,7 @@ func newConn(nc net.Conn, queue int) *conn {
 		nc:   nc,
 		send: make(chan sendReq, queue),
 		dead: make(chan struct{}),
+		bw:   bufio.NewWriterSize(nc, 64<<10),
 		pend: make(map[uint64]*pending),
 	}
 	go cn.writeLoop()
@@ -677,7 +695,8 @@ func (cn *conn) close(err error) {
 	})
 }
 
-// do registers a pending slot, enqueues the encoded request, and waits.
+// do registers a pending slot, sends the request — writing it itself
+// when the writer is idle, else through the send queue — and waits.
 func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	p := &pending{done: make(chan struct{})}
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
@@ -700,19 +719,41 @@ func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, erro
 	cn.mu.Unlock()
 
 	req.ID = id
-	sr := sendReq{payload: wire.AppendRequest(nil, req)}
 	var tEnq time.Time
 	if tr != nil {
-		sr.traced = p
 		tEnq = time.Now()
 	}
-	select {
-	case cn.send <- sr:
-	case <-ctx.Done():
-		cn.forget(id)
-		return nil, ctx.Err()
-	case <-p.done:
-		return nil, p.err // connection failed while we queued
+	// Write inline when nothing is queued ahead and the writer is idle,
+	// but only for a context that cannot end (see the package comment).
+	if ctx.Done() == nil && len(cn.send) == 0 && cn.wmu.TryLock() {
+		err := cn.writeInline(req, p, tr != nil)
+		cn.wmu.Unlock()
+		if err != nil {
+			cn.forget(id)
+			return nil, err
+		}
+		// Yield once, as the server does after its inline write: the
+		// writer goroutine's wake-up used to start an idle processor
+		// that polled the network, and Gosched starts one in its place,
+		// so the reply's reader runs as soon as the reply lands.
+		runtime.Gosched()
+	} else {
+		sr := sendReq{payload: wire.AppendRequest(nil, req)}
+		if err := checkFrame(len(sr.payload)); err != nil {
+			cn.forget(id)
+			return nil, err
+		}
+		if tr != nil {
+			sr.traced = p
+		}
+		select {
+		case cn.send <- sr:
+		case <-ctx.Done():
+			cn.forget(id)
+			return nil, ctx.Err()
+		case <-p.done:
+			return nil, p.err // connection failed while we queued
+		}
 	}
 
 	select {
@@ -748,10 +789,41 @@ func (cn *conn) forget(id uint64) {
 	cn.mu.Unlock()
 }
 
+// checkFrame refuses a request payload of n bytes that exceeds the
+// frame limit before any of it is sent: the server would drop the
+// connection, and every call in flight on it, over such a frame.
+func checkFrame(n int) error {
+	if n > wire.MaxFrame {
+		return fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrame)
+	}
+	return nil
+}
+
+// writeInline sends req from the calling goroutine: it encodes the
+// frame straight into the write buffer and flushes. The caller holds
+// wmu. A failed write closes the connection, which completes p with the
+// error; only a request too large to send is returned.
+func (cn *conn) writeInline(req *wire.Request, p *pending, traced bool) error {
+	if traced {
+		p.sentNS.Store(time.Now().UnixNano())
+	}
+	b := wire.AppendRequestFrame(cn.bw.AvailableBuffer(), req)
+	if err := checkFrame(len(b) - 4); err != nil {
+		return err
+	}
+	_, err := cn.bw.Write(b)
+	if err == nil {
+		err = cn.bw.Flush()
+	}
+	if err != nil {
+		cn.close(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
+	}
+	return nil
+}
+
 // writeLoop drains the send queue, coalescing every already-queued
 // request into one buffer before handing it to the kernel.
 func (cn *conn) writeLoop() {
-	bw := bufio.NewWriterSize(cn.nc, 64<<10)
 	for {
 		var sr sendReq
 		select {
@@ -759,35 +831,38 @@ func (cn *conn) writeLoop() {
 		case <-cn.dead:
 			return
 		}
-		if sr.traced != nil {
-			sr.traced.sentNS.Store(time.Now().UnixNano())
+		cn.wmu.Lock()
+		err := cn.writeQueued(sr)
+		// Coalesce: keep encoding while more requests are queued; flush
+		// only when the queue runs empty.
+	coalesce:
+		for err == nil {
+			select {
+			case sr = <-cn.send:
+				err = cn.writeQueued(sr)
+			default:
+				break coalesce
+			}
 		}
-		if err := wire.WriteFrame(bw, sr.payload); err != nil {
+		if err == nil {
+			err = cn.bw.Flush()
+		}
+		cn.wmu.Unlock()
+		if err != nil {
 			cn.close(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
 			return
 		}
-		// Coalesce: keep encoding while more requests are queued; flush
-		// only when the queue runs empty.
-		for {
-			select {
-			case next := <-cn.send:
-				if next.traced != nil {
-					next.traced.sentNS.Store(time.Now().UnixNano())
-				}
-				if err := wire.WriteFrame(bw, next.payload); err != nil {
-					cn.close(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
-					return
-				}
-				continue
-			default:
-			}
-			break
-		}
-		if err := bw.Flush(); err != nil {
-			cn.close(fmt.Errorf("%w: flush: %w", ErrConnBroken, err))
-			return
-		}
 	}
+}
+
+// writeQueued appends one dequeued request's frame to the write buffer,
+// stamping its send time when the call is traced. The caller holds wmu.
+func (cn *conn) writeQueued(sr sendReq) error {
+	if sr.traced != nil {
+		sr.traced.sentNS.Store(time.Now().UnixNano())
+	}
+	_, err := cn.bw.Write(wire.AppendFrame(cn.bw.AvailableBuffer(), sr.payload))
+	return err
 }
 
 // readLoop decodes response frames and completes pendings by id.

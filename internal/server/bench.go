@@ -1,27 +1,40 @@
 package server
 
 import (
+	"net"
 	"runtime"
+	"time"
 
 	"mwllsc/internal/shard"
 	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
+// OpAllocs is heap allocations per request on one response path, for
+// Read and for Update.
+type OpAllocs struct {
+	Read, Update float64
+}
+
 // HotPathAllocs reports the steady-state heap allocations per request of
-// the server's batch-execute path, for Read and for Update — the number
-// the E13 allocation gate (internal/bench, cmd/llscgate) tracks across
-// PRs, and it must be zero: the response arena, the recycled decode
-// buffers, the reacquirable map handle and the pre-bound merge closures
-// exist precisely so that serving a request costs no allocation.
+// the server's serving path — batch execute, response encode and the
+// write — for Read and for Update, down both ways a batch's responses
+// reach the socket: inline, written by the executor when the writer is
+// idle, and queued, handed to the writer goroutine while it is busy.
+// These are the numbers the E13 allocation gate (internal/bench,
+// cmd/llscgate) tracks across PRs, and they must be zero: the response
+// arena, the recycled decode and write buffers, the reacquirable map
+// handle and the pre-bound merge closures exist precisely so that
+// serving a request costs no allocation.
 //
-// It drives executeBatch directly with pre-decoded batches rather than
-// through a TCP connection: internal/bench cannot reach the unexported
-// execute machinery, and a socket would fold goroutine wakeups and bufio
-// into a measurement whose entire point is an exact zero for the execute
-// path alone (the wire encode/decode halves are measured separately by
-// E13's wire rows).
-func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
+// It drives executeBatch directly with pre-decoded batches and a
+// connection that discards what is written, rather than a TCP socket:
+// internal/bench cannot reach the unexported execute machinery, and a
+// socket would fold goroutine wakeups and the kernel into a
+// measurement whose entire point is an exact zero for the serving code
+// alone (the request decode half is measured separately by E13's wire
+// rows).
+func HotPathAllocs(runs int) (inline, queued OpAllocs, err error) {
 	const (
 		k      = 4
 		w      = 2
@@ -29,7 +42,7 @@ func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
 	)
 	m, err := shard.NewMap(k, 2, w)
 	if err != nil {
-		return 0, 0, err
+		return inline, queued, err
 	}
 	// Metrics on, tracer attached with sampling off, admission control
 	// enabled: the zero-allocs gate must hold with the full
@@ -39,8 +52,7 @@ func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
 	// channel send per batch — the gate proves it stays free.)
 	s := New(m, WithMetrics(NewMetrics(m.N())), WithTracer(trace.New(trace.Config{})),
 		WithMaxInflight(4))
-	cs := s.newConnState()
-	out := make(chan outResp, 2*batchN)
+	cs := s.newConnState(discardConn{})
 
 	args := []uint64{1, 2}
 	mkBatch := func(op wire.Op) {
@@ -56,24 +68,38 @@ func HotPathAllocs(runs int) (readAllocs, updateAllocs float64, err error) {
 			cs.batch = append(cs.batch, br)
 		}
 	}
-	// One execute round: run the batch, then recycle the responses the
-	// writer goroutine would have returned to the arena.
-	round := func() {
-		s.executeBatch(cs, out)
+	// Inline: the writer is idle, so the executor writes the batch itself.
+	inlineRound := func() { s.executeBatch(cs) }
+	// Queued: the harness holds the writer, so the executor queues the
+	// batch; the harness then does the writer goroutine's part.
+	queuedRound := func() {
+		s.executeBatch(cs)
 		for i := 0; i < batchN; i++ {
-			cs.putResp((<-out).resp)
+			cs.put(<-cs.out)
 		}
+		cs.flush()
 	}
-
-	measure := func(op wire.Op) float64 {
+	measure := func(op wire.Op, round func()) float64 {
 		mkBatch(op)
 		round() // warm the arena, handle, and data buffers
 		return allocsPerRun(runs, round) / batchN
 	}
-	readAllocs = measure(wire.OpRead)
-	updateAllocs = measure(wire.OpUpdate)
-	return readAllocs, updateAllocs, nil
+	inline.Read = measure(wire.OpRead, inlineRound)
+	inline.Update = measure(wire.OpUpdate, inlineRound)
+	cs.wr.mu.Lock()
+	queued.Read = measure(wire.OpRead, queuedRound)
+	queued.Update = measure(wire.OpUpdate, queuedRound)
+	cs.wr.mu.Unlock()
+	return inline, queued, nil
 }
+
+// discardConn is the connection HotPathAllocs serves: every write
+// succeeds and goes nowhere. The embedded nil Conn makes any other
+// method panic; the write path calls none of them.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // allocsPerRun mirrors testing.AllocsPerRun for non-test binaries (the
 // same helper internal/bench keeps for E7; duplicated here because bench

@@ -156,8 +156,22 @@ func TestIdleTimeoutSparesActiveClient(t *testing.T) {
 
 // TestWriteStallEviction: a peer that requests snapshots and never
 // reads the responses fills its TCP window; the write deadline evicts
-// it instead of parking the writer goroutine forever.
+// it instead of parking a writer forever. Pipelined, the requests
+// arrive together and the stalled write is the writer goroutine's or
+// the executor's; unpipelined, each request is a batch of its own
+// that finds the writer idle, so the stalled write is the executor's
+// inline one. Either way both connection goroutines must unwind.
 func TestWriteStallEviction(t *testing.T) {
+	for _, pipelined := range []bool{true, false} {
+		name := "unpipelined"
+		if pipelined {
+			name = "pipelined"
+		}
+		t.Run(name, func(t *testing.T) { testWriteStallEviction(t, pipelined) })
+	}
+}
+
+func testWriteStallEviction(t *testing.T, pipelined bool) {
 	m, err := shard.NewMap(64, 4, 64) // 32 KiB per snapshot response
 	if err != nil {
 		t.Fatal(err)
@@ -172,16 +186,32 @@ func TestWriteStallEviction(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	c := rawDial(t, addr.String())
-	// Enough snapshot responses to overrun any default socket buffer
-	// while this side never reads a byte.
-	for i := 0; i < 256; i++ {
-		sendReq(t, c, &wire.Request{ID: uint64(i), Op: wire.OpSnapshot})
-	}
+	evicted := func() bool { return s.Stats().Evictions > 0 }
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Evictions == 0 && time.Now().Before(deadline) {
+	if pipelined {
+		// Enough snapshot responses to overrun any default socket
+		// buffer while this side never reads a byte.
+		for i := 0; i < 256; i++ {
+			sendReq(t, c, &wire.Request{ID: uint64(i), Op: wire.OpSnapshot})
+		}
+	} else {
+		// A small receive buffer makes the window fill after fewer
+		// responses. Each request is sent only once the server has
+		// executed the one before, until the executor's write stalls.
+		c.(*net.TCPConn).SetReadBuffer(4 << 10)
+		for i := uint64(0); !evicted() && time.Now().Before(deadline); i++ {
+			if wire.WriteFrame(c, wire.AppendRequest(nil, &wire.Request{ID: i, Op: wire.OpSnapshot})) != nil {
+				break // the eviction closed the connection under us
+			}
+			for s.ctrs.Sum(cReqs) <= i && !evicted() && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
+	for !evicted() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := s.Stats().Evictions; got == 0 {
+	if !evicted() {
 		t.Fatal("stalled reader was never evicted")
 	}
 	// Both connection goroutines must unwind — the eviction closed the

@@ -79,8 +79,8 @@ func startTracedServer(t *testing.T, tr *trace.Tracer) string {
 }
 
 // waitRetired polls until the tracer has retired at least n spans
-// (retirement happens in the writer goroutine, after the response's
-// flush, so it can trail the client's read).
+// (retirement happens after the write that carries the response, so it
+// can trail the client's read).
 func waitRetired(t *testing.T, tr *trace.Tracer, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -53,9 +53,10 @@ const (
 	// StageFsync: waiting for the group-commit fsync round (nonzero
 	// only under -fsync always).
 	StageFsync
-	// StageFlush: from responses handed to the writer goroutine to the
-	// flush write that put this span's response on the wire — writer
-	// coalesce plus the write syscall.
+	// StageFlush: from the batch's last stamp to the write that put this
+	// span's response on the wire — encoding plus the write syscall, and
+	// the handoff to the writer goroutine and its coalescing when the
+	// writer was busy.
 	StageFlush
 	// NumStages is the number of server stages.
 	NumStages = int(StageFlush) + 1

@@ -523,6 +523,25 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// AppendRequestFrame appends req as one whole frame, length prefix and
+// payload, to dst. The payload is encoded in place behind a reserved
+// prefix, so a write buffer takes the frame with no intermediate
+// payload slice. The caller checks the payload against MaxFrame.
+func AppendRequestFrame(dst []byte, req *Request) []byte {
+	n := len(dst)
+	dst = AppendRequest(append(dst, 0, 0, 0, 0), req)
+	binary.LittleEndian.PutUint32(dst[n:], uint32(len(dst)-n-4))
+	return dst
+}
+
+// AppendResponseFrame is AppendRequestFrame for a response.
+func AppendResponseFrame(dst []byte, resp *Response) []byte {
+	n := len(dst)
+	dst = AppendResponse(append(dst, 0, 0, 0, 0), resp)
+	binary.LittleEndian.PutUint32(dst[n:], uint32(len(dst)-n-4))
+	return dst
+}
+
 // FrameBufCap is the soft cap on the reusable buffer ReadFrame hands
 // back: a jumbo frame (up to MaxFrame = 8 MiB) may grow the buffer past
 // it, but the next small frame releases the oversized backing array
