@@ -10,22 +10,21 @@ import (
 // E13Allocs builds the allocation-gate table: steady-state heap
 // allocations per operation on every stage of the serving hot path —
 // wire encode and decode for requests and responses, and the server's
-// execute-and-write path for Read and Update, with the responses
-// written inline by the executor and queued for the writer goroutine.
-// Each row must be zero: the response arena, recycled frame/data
-// buffers, reacquirable map handle and pre-bound merge closures exist
-// precisely so that serving a warm request allocates nothing, and the
-// CI gate (cmd/llscgate) fails the build on any increase, which is how
-// an accidental new allocation on the hot path surfaces as a red check
-// instead of a slow drift in the throughput trend.
+// execute-and-write path for Read and Update. Each row must be zero:
+// the per-slot responses, recycled frame/data buffers, reacquirable map
+// handle and pre-bound merge closures exist precisely so that serving a
+// warm request allocates nothing, and the CI gate (cmd/llscgate) fails
+// the build on any increase, which is how an accidental new allocation
+// on the hot path surfaces as a red check instead of a slow drift in
+// the throughput trend.
 func E13Allocs(o Options) (*Table, error) {
 	const runs = 400
 	t := &Table{
 		ID:    "e13",
 		Title: "E13: steady-state heap allocations per op on the serving hot path",
 		Note: "wire rows: one encode or decode of a W=2 Update/Read-shaped payload into recycled buffers; " +
-			"server rows: one request through the batch executor and the response write, inline (writer idle) " +
-			"or queued (writer busy), arena, handle and buffers warm. " +
+			"server rows: one request through the batch executor and the response write, " +
+			"response slots, handle and buffers warm. " +
 			"All rows are gated at zero — any increase fails llscgate.",
 		Cols: []string{"path", "allocs/op"},
 	}
@@ -54,13 +53,11 @@ func E13Allocs(o Options) (*Table, error) {
 		}
 	}))
 
-	inline, queued, err := server.HotPathAllocs(runs)
+	srv, err := server.HotPathAllocs(runs)
 	if err != nil {
 		return nil, fmt.Errorf("E13: %w", err)
 	}
-	t.AddRow("server read, inline write", inline.Read)
-	t.AddRow("server update, inline write", inline.Update)
-	t.AddRow("server read, queued write", queued.Read)
-	t.AddRow("server update, queued write", queued.Update)
+	t.AddRow("server read", srv.Read)
+	t.AddRow("server update", srv.Update)
 	return t, nil
 }

@@ -120,8 +120,8 @@ func TestE13AllocsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("e13 has %d rows, want 8", len(tbl.Rows))
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("e13 has %d rows, want 6", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {
 		if row[1] != "0" {

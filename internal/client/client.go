@@ -68,9 +68,12 @@ import (
 // Option configures Dial.
 type Option func(*config)
 
+// dialTimeout bounds each connection attempt, initial and background
+// redial alike.
+const dialTimeout = 5 * time.Second
+
 type config struct {
 	conns       int
-	dialTimeout time.Duration
 	queue       int
 	opTimeout   time.Duration
 	maxRetries  int
@@ -86,16 +89,6 @@ func WithConns(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.conns = n
-		}
-	}
-}
-
-// WithDialTimeout bounds each connection attempt (default 5s), initial
-// and background redial alike.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.dialTimeout = d
 		}
 	}
 }
@@ -249,7 +242,7 @@ type slot struct {
 // synchronously — a dead target fails Dial instead of queueing calls.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	cfg := config{
-		conns: 1, dialTimeout: 5 * time.Second, queue: 256,
+		conns: 1, queue: 256,
 		maxRetries: 3, backoffBase: 2 * time.Millisecond, backoffMax: 250 * time.Millisecond,
 	}
 	for _, opt := range opts {
@@ -268,7 +261,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 }
 
 func (c *Client) dialConn() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.dialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

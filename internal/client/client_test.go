@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -297,10 +298,12 @@ func TestAllConnsBrokenSurfaceError(t *testing.T) {
 	t.Fatal("broken pool never surfaced an error")
 }
 
-// TestRawMalformedFrame drives the server with a hand-built bad frame
-// and checks the error response comes back well-formed.
+// TestRawMalformedFrame drives the server with hand-built bad frames
+// and checks the error responses come back well-formed: a lone bad
+// frame, then one written between two good requests, which the server
+// must answer alongside them without dropping either or the connection.
 func TestRawMalformedFrame(t *testing.T) {
-	_, addr := startServer(t, 2, 2, 1)
+	srv, addr := startServer(t, 2, 2, 1)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +326,55 @@ func TestRawMalformedFrame(t *testing.T) {
 	}
 	if resp.Status != wire.StatusBadRequest {
 		t.Fatalf("status %v, want bad-request", resp.Status)
+	}
+
+	// Read(1), the bad opcode under id 2, and Read(3) in one write.
+	badReqs := srv.Stats().BadReqs
+	binary.LittleEndian.PutUint64(payload, 2)
+	var buf []byte
+	buf = wire.AppendFrame(buf, wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpRead, Key: 5}))
+	buf = wire.AppendFrame(buf, payload)
+	buf = wire.AppendFrame(buf, wire.AppendRequest(nil, &wire.Request{ID: 3, Op: wire.OpRead, Key: 6}))
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint64]wire.Response)
+	for len(got) < 3 {
+		if frame, err = wire.ReadFrame(nc, frame); err != nil {
+			t.Fatalf("after %d of 3 answers: %v", len(got), err)
+		}
+		if err := wire.DecodeResponse(&resp, frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, dup := got[resp.ID]; dup {
+			t.Fatalf("id %d answered twice", resp.ID)
+		}
+		got[resp.ID] = resp
+	}
+	for _, id := range []uint64{1, 3} {
+		if r, ok := got[id]; !ok || r.Status != wire.StatusOK {
+			t.Fatalf("read id %d: answered=%v status %v %q, want ok", id, ok, r.Status, r.Err)
+		}
+	}
+	if r, ok := got[2]; !ok || r.Status != wire.StatusBadRequest || !strings.Contains(r.Err, "opcode 238") {
+		t.Fatalf("bad frame id 2: answered=%v status %v %q, want bad-request naming opcode 238", ok, r.Status, r.Err)
+	}
+	if d := srv.Stats().BadReqs - badReqs; d != 1 {
+		t.Fatalf("BadReqs rose by %d, want 1", d)
+	}
+
+	// The connection keeps serving.
+	if err := wire.WriteFrame(nc, wire.AppendRequest(nil, &wire.Request{ID: 4, Op: wire.OpPing})); err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = wire.ReadFrame(nc, frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.DecodeResponse(&resp, frame); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 4 || resp.Status != wire.StatusOK {
+		t.Fatalf("fourth request: id %d status %v %q, want id 4 ok", resp.ID, resp.Status, resp.Err)
 	}
 }
 

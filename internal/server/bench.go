@@ -10,7 +10,7 @@ import (
 	"mwllsc/internal/wire"
 )
 
-// OpAllocs is heap allocations per request on one response path, for
+// OpAllocs is heap allocations per request on the serving path, for
 // Read and for Update.
 type OpAllocs struct {
 	Read, Update float64
@@ -18,14 +18,12 @@ type OpAllocs struct {
 
 // HotPathAllocs reports the steady-state heap allocations per request of
 // the server's serving path — batch execute, response encode and the
-// write — for Read and for Update, down both ways a batch's responses
-// reach the socket: inline, written by the executor when the writer is
-// idle, and queued, handed to the writer goroutine while it is busy.
-// These are the numbers the E13 allocation gate (internal/bench,
-// cmd/llscgate) tracks across PRs, and they must be zero: the response
-// arena, the recycled decode and write buffers, the reacquirable map
-// handle and the pre-bound merge closures exist precisely so that
-// serving a request costs no allocation.
+// write — for Read and for Update. These are the numbers the E13
+// allocation gate (internal/bench, cmd/llscgate) tracks across PRs, and
+// they must be zero: the per-slot responses, the recycled decode and
+// write buffers, the reacquirable map handle and the pre-bound merge
+// closures exist precisely so that serving a request costs no
+// allocation.
 //
 // It drives executeBatch directly with pre-decoded batches and a
 // connection that discards what is written, rather than a TCP socket:
@@ -34,7 +32,7 @@ type OpAllocs struct {
 // measurement whose entire point is an exact zero for the serving code
 // alone (the request decode half is measured separately by E13's wire
 // rows).
-func HotPathAllocs(runs int) (inline, queued OpAllocs, err error) {
+func HotPathAllocs(runs int) (OpAllocs, error) {
 	const (
 		k      = 4
 		w      = 2
@@ -42,7 +40,7 @@ func HotPathAllocs(runs int) (inline, queued OpAllocs, err error) {
 	)
 	m, err := shard.NewMap(k, 2, w)
 	if err != nil {
-		return inline, queued, err
+		return OpAllocs{}, err
 	}
 	// Metrics on, tracer attached with sampling off, admission control
 	// enabled: the zero-allocs gate must hold with the full
@@ -55,7 +53,8 @@ func HotPathAllocs(runs int) (inline, queued OpAllocs, err error) {
 	cs := s.newConnState(discardConn{})
 
 	args := []uint64{1, 2}
-	mkBatch := func(op wire.Op) {
+	round := func() { s.executeBatch(cs) }
+	measure := func(op wire.Op) float64 {
 		cs.batch = cs.batch[:0]
 		for i := 0; i < batchN; i++ {
 			key := uint64(i) * 977
@@ -67,30 +66,10 @@ func HotPathAllocs(runs int) (inline, queued OpAllocs, err error) {
 			}
 			cs.batch = append(cs.batch, br)
 		}
-	}
-	// Inline: the writer is idle, so the executor writes the batch itself.
-	inlineRound := func() { s.executeBatch(cs) }
-	// Queued: the harness holds the writer, so the executor queues the
-	// batch; the harness then does the writer goroutine's part.
-	queuedRound := func() {
-		s.executeBatch(cs)
-		for i := 0; i < batchN; i++ {
-			cs.put(<-cs.out)
-		}
-		cs.flush()
-	}
-	measure := func(op wire.Op, round func()) float64 {
-		mkBatch(op)
-		round() // warm the arena, handle, and data buffers
+		round() // warm the response slots, handle, and data buffers
 		return allocsPerRun(runs, round) / batchN
 	}
-	inline.Read = measure(wire.OpRead, inlineRound)
-	inline.Update = measure(wire.OpUpdate, inlineRound)
-	cs.wr.mu.Lock()
-	queued.Read = measure(wire.OpRead, queuedRound)
-	queued.Update = measure(wire.OpUpdate, queuedRound)
-	cs.wr.mu.Unlock()
-	return inline, queued, nil
+	return OpAllocs{Read: measure(wire.OpRead), Update: measure(wire.OpUpdate)}, nil
 }
 
 // discardConn is the connection HotPathAllocs serves: every write

@@ -66,9 +66,6 @@ func WithMetrics(m *Metrics) Option {
 	return func(s *Server) { s.metrics = m }
 }
 
-// Metrics returns the attached histogram set, nil when none.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // RegisterMetrics registers the server's full metric surface on reg
 // under llscd_* names: the striped request counters, the histogram set
 // (when attached), map geometry, registry-slot contention, the txn

@@ -329,6 +329,59 @@ func TestBatchBarrierOrder(t *testing.T) {
 	}
 }
 
+// TestShardSortedBatchAnswersMatchIDs: reads written in one syscall in
+// descending shard order arrive as one batch that the executor's shard
+// sort reverses, and every response must still carry its own request's
+// id with that request's key's value.
+func TestShardSortedBatchAnswersMatchIDs(t *testing.T) {
+	m, err := shard.NewMap(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m.Shards(); i++ {
+		key := m.KeyForShard(i)
+		m.Update(key, func(v []uint64) { v[0] = key + 1000 })
+	}
+	s := server.New(m)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	defer s.Close()
+
+	nc, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	for round := 0; round < 20; round++ {
+		var buf []byte
+		for i := m.Shards() - 1; i >= 0; i-- {
+			buf = wire.AppendFrame(buf, wire.AppendRequest(nil,
+				&wire.Request{ID: uint64(i), Op: wire.OpRead, Key: m.KeyForShard(i)}))
+		}
+		if _, err := nc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var frame []byte
+		var resp wire.Response
+		for seen := 0; seen < m.Shards(); seen++ {
+			if frame, err = wire.ReadFrame(nc, frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.DecodeResponse(&resp, frame); err != nil {
+				t.Fatal(err)
+			}
+			want := m.KeyForShard(int(resp.ID)) + 1000
+			if resp.Status != wire.StatusOK || resp.Data[0] != want {
+				t.Fatalf("round %d: id %d answered %v %v, want ok [%d]", round, resp.ID, resp.Status, resp.Data, want)
+			}
+		}
+	}
+}
+
 // TestNonReadingClientDoesNotPinSlots starves the server of response
 // readers on one connection and checks other connections still make
 // progress: batches must release their registry slot before blocking on

@@ -10,7 +10,7 @@
 // 1-in-N rate. Either way the server stamps monotonic timestamps at
 // each stage the request already passes through — frame decode, batch
 // queue wait, registry slot acquire, shard execute, persist append,
-// group-commit fsync wait, writer coalesce/flush — into a Span drawn
+// group-commit fsync wait, response encode and write — into a Span drawn
 // from a preallocated free list, and retires the completed span here.
 //
 // The design constraint is the same one that shaped the serving path
@@ -53,10 +53,9 @@ const (
 	// StageFsync: waiting for the group-commit fsync round (nonzero
 	// only under -fsync always).
 	StageFsync
-	// StageFlush: from the batch's last stamp to the write that put this
-	// span's response on the wire — encoding plus the write syscall, and
-	// the handoff to the writer goroutine and its coalescing when the
-	// writer was busy.
+	// StageFlush: from the batch's last stamp to the end of the write
+	// that put this span's response on the wire — encoding the batch's
+	// responses plus the write syscall.
 	StageFlush
 	// NumStages is the number of server stages.
 	NumStages = int(StageFlush) + 1
