@@ -36,10 +36,6 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 // slots, so more connections raise server-side parallelism.
 func WithClientConns(n int) ClientOption { return client.WithConns(n) }
 
-// WithClientSendQueue sets the per-connection pipelining window
-// (default 256 requests).
-func WithClientSendQueue(n int) ClientOption { return client.WithSendQueue(n) }
-
 // WithClientOpTimeout sets a default per-operation deadline applied to
 // calls whose context has none (default: none). The deadline surfaces
 // as context.DeadlineExceeded, exactly as a caller-supplied one would.

@@ -157,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // traceTable breaks the p50 and p99 exemplar traced requests into the
-// end-to-end stages: client send-queue wait, on-wire round trip (the
+// end-to-end stages: client write-buffer wait, on-wire round trip (the
 // round trip minus whatever the server accounted for), and the six
 // server-side stages echoed on the wire. Against a server without
 // tracing the server columns are zero and "wire us" is the whole round
@@ -166,7 +166,7 @@ func traceTable(traces []client.Trace, target string) *bench.Table {
 	t := &bench.Table{
 		ID:    "trace",
 		Title: fmt.Sprintf("llscload: end-to-end stage breakdown of traced exemplars against %s", target),
-		Note: "queue = client send-queue wait; wire = round trip minus server-accounted time; " +
+		Note: "queue = client write-buffer wait; wire = round trip minus server-accounted time; " +
 			"server stages per docs/OBSERVABILITY.md; trace ids grep-able in the server's /tracez and /slowz.",
 		Cols: []string{"exemplar", "trace", "total us", "queue us", "wire us",
 			"decode us", "srv queue us", "acquire us", "execute us", "persist us", "fsync us"},

@@ -5,19 +5,23 @@
 // deadline defaults, and a status-aware retry policy).
 //
 // Every call is safe for concurrent use. Calls are spread round-robin
-// over the pool's connections. On each connection, a call that finds
-// the send queue empty and the writer idle writes and flushes its own
-// frame, so an unpipelined call pays no goroutine handoff. Otherwise the
-// call enqueues its request, and a writer goroutine drains the queue
-// and flushes only when it runs empty, so concurrent callers' requests
-// coalesce into few syscalls and pipeline through the server's batch
-// executor without any explicit batch API. Only a call whose context
-// can never end writes its own frame: a write into a full socket
-// blocks, and a call that can be canceled must wait where cancellation
-// reaches it. A reader goroutine matches responses — which the server
-// may reorder — back to callers by request id. Contexts are honored: a
-// canceled call abandons its slot (the response, when it arrives, is
-// dropped).
+// over the pool's connections. On each connection, every call encodes
+// its frame into one shared write buffer, and the call that finds no
+// write in progress takes the writer role: it writes every frame
+// waiting in the buffer with one Write, so an unpipelined call pays no
+// goroutine handoff, and concurrent callers' requests coalesce into few
+// syscalls and pipeline through the server's batch executor without
+// any explicit batch API. Frames that arrive during that write go out
+// from a short-lived goroutine, so no caller writes for others beyond
+// its own write. Only a call whose context can never end writes on its
+// own goroutine: a write into a full socket blocks, and a call that can
+// be canceled must wait where cancellation reaches it, so it hands the
+// role to the goroutine at once. While a write blocks, about 256 KiB of
+// frames may wait behind it; a call that finds the buffer full waits
+// for room, and if its context ends first its request is never sent.
+// A reader goroutine matches responses — which the server may reorder —
+// back to callers by request id. Contexts are honored: a canceled call
+// abandons its slot (the response, when it arrives, is dropped).
 //
 // # Failure semantics
 //
@@ -74,7 +78,6 @@ const dialTimeout = 5 * time.Second
 
 type config struct {
 	conns       int
-	queue       int
 	opTimeout   time.Duration
 	maxRetries  int
 	backoffBase time.Duration
@@ -89,16 +92,6 @@ func WithConns(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.conns = n
-		}
-	}
-}
-
-// WithSendQueue sets the per-connection send queue depth (default 256)
-// — the pipelining window per connection.
-func WithSendQueue(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.queue = n
 		}
 	}
 }
@@ -164,7 +157,8 @@ var ErrBusy = errors.New("client: server busy")
 var ErrUnavailable = errors.New("client: server unavailable (degraded)")
 
 // errNotSent marks a failure that happened before the request was ever
-// enqueued, so retrying cannot double-execute anything.
+// registered on a connection, so retrying cannot double-execute
+// anything.
 var errNotSent = errors.New("request not sent")
 
 // Trace is one traced call's client-side record. Pass it to a call via
@@ -175,12 +169,14 @@ type Trace struct {
 	// ID is the trace id the request carries on the wire. Zero asks the
 	// client to generate one (filled in before the request is sent).
 	ID uint64
-	// QueueWait is the send-queue wait: from the call enqueueing its
-	// encoded request to the writer goroutine picking it up. It is about
-	// zero when the call found the writer idle and wrote its own frame.
+	// QueueWait runs from the call handing its request to the
+	// connection (including any wait for room in the connection's write
+	// buffer) to the start of the write that carries its frame. It is
+	// about zero when the call found no write in progress and wrote its
+	// own frame.
 	QueueWait time.Duration
-	// RoundTrip covers the wire and the server: from the request's frame
-	// entering the write buffer to the response being decoded.
+	// RoundTrip covers the wire and the server: from the start of the
+	// write carrying the request's frame to the response being decoded.
 	RoundTrip time.Duration
 	// Total is the call's full client-side duration (QueueWait +
 	// RoundTrip, measured independently).
@@ -242,7 +238,7 @@ type slot struct {
 // synchronously — a dead target fails Dial instead of queueing calls.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	cfg := config{
-		conns: 1, queue: 256,
+		conns:      1,
 		maxRetries: 3, backoffBase: 2 * time.Millisecond, backoffMax: 250 * time.Millisecond,
 	}
 	for _, opt := range opts {
@@ -268,7 +264,7 @@ func (c *Client) dialConn() (*conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // latency over bandwidth; coalescing happens in the writer
 	}
-	return newConn(nc, c.cfg.queue), nil
+	return newConn(nc), nil
 }
 
 // Close tears down every connection; in-flight calls fail with ErrClosed.
@@ -608,42 +604,46 @@ func wordsOf(rows [][]uint64) int {
 	return len(rows[0])
 }
 
-// pending is one in-flight request's completion slot. sentNS is the
-// wall-clock instant the request's frame entered the write buffer, set
-// by the writer goroutine on dequeue or by the caller on the inline
-// path. It is stored atomically because no other happens-before edge
-// links the writer goroutine to the caller that reads it after
-// completion.
+// pending is one in-flight request's completion slot. sent, set only
+// for a traced call, is the start-time stamp of the write that carries
+// the request's frame, shared by every traced frame in that write. It
+// is atomic because no happens-before edge links the writer to the
+// caller that reads it after completion.
 type pending struct {
-	done   chan struct{}
-	resp   wire.Response
-	err    error
-	sentNS atomic.Int64
+	done chan struct{}
+	resp wire.Response
+	err  error
+	sent *atomic.Int64
 }
 
-// sendReq is one queued request: its encoded payload, plus its pending
-// slot when the call is traced (nil otherwise) so the writer can stamp
-// the send-queue wait.
-type sendReq struct {
-	payload []byte
-	traced  *pending
-}
+// bufKeep bounds a connection's write buffer. A call that finds
+// bufKeep bytes of frames waiting for a write waits for room where its
+// context reaches it, and one whose context ends there is never sent,
+// so a write that blocks (a peer that stopped reading) can neither grow
+// the buffer without limit nor save up more than a buffer's worth of
+// abandoned updates to deliver when the peer recovers. A buffer grown
+// past bufKeep by a jumbo request is released after its write instead
+// of being pinned for the connection's lifetime.
+const bufKeep = 256 << 10
 
-// conn is one pooled connection: a write buffer filled inline by
-// callers that find the writer idle, a send queue drained by a writer
-// goroutine (coalescing frames), and a reader goroutine completing
-// pendings by id.
+// conn is one pooled connection: a write buffer that every call encodes
+// its frame into, written out by whoever holds the writer role, and a
+// reader goroutine completing pendings by id.
 type conn struct {
 	nc     net.Conn
-	send   chan sendReq  // encoded requests awaiting the writer
-	dead   chan struct{} // closed when the conn fails or is closed
 	close1 sync.Once
 
-	// wmu guards bw. The writer goroutine holds it while it drains send;
-	// an inline caller holds it while it writes its own frame. Either
-	// flushes before letting go.
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	// wmu guards the write side. buf collects frames for the next write,
+	// and spare is the buffer it swaps with at each write. room, made by
+	// a call that finds buf full, is closed by that swap. writing marks
+	// the writer role as held: its holder writes buf before giving the
+	// role up. sent is the stamp shared by the traced frames in buf.
+	wmu     sync.Mutex
+	buf     []byte
+	spare   []byte
+	room    chan struct{}
+	writing bool
+	sent    *atomic.Int64
 
 	mu     sync.Mutex
 	pend   map[uint64]*pending
@@ -651,15 +651,11 @@ type conn struct {
 	broken error
 }
 
-func newConn(nc net.Conn, queue int) *conn {
+func newConn(nc net.Conn) *conn {
 	cn := &conn{
 		nc:   nc,
-		send: make(chan sendReq, queue),
-		dead: make(chan struct{}),
-		bw:   bufio.NewWriterSize(nc, 64<<10),
 		pend: make(map[uint64]*pending),
 	}
-	go cn.writeLoop()
 	go cn.readLoop()
 	return cn
 }
@@ -670,8 +666,8 @@ func (cn *conn) err() error {
 	return cn.broken
 }
 
-// close fails the connection: every pending and queued request
-// completes with err, and the socket is torn down.
+// close fails the connection: every pending request completes with err,
+// and the socket is torn down.
 func (cn *conn) close(err error) {
 	cn.close1.Do(func() {
 		cn.mu.Lock()
@@ -679,7 +675,6 @@ func (cn *conn) close(err error) {
 		pend := cn.pend
 		cn.pend = map[uint64]*pending{}
 		cn.mu.Unlock()
-		close(cn.dead)
 		cn.nc.Close()
 		for _, p := range pend {
 			p.err = err
@@ -688,8 +683,7 @@ func (cn *conn) close(err error) {
 	})
 }
 
-// do registers a pending slot, sends the request — writing it itself
-// when the writer is idle, else through the send queue — and waits.
+// do registers a pending slot, sends the request and waits.
 func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	p := &pending{done: make(chan struct{})}
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
@@ -716,37 +710,9 @@ func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, erro
 	if tr != nil {
 		tEnq = time.Now()
 	}
-	// Write inline when nothing is queued ahead and the writer is idle,
-	// but only for a context that cannot end (see the package comment).
-	if ctx.Done() == nil && len(cn.send) == 0 && cn.wmu.TryLock() {
-		err := cn.writeInline(req, p, tr != nil)
-		cn.wmu.Unlock()
-		if err != nil {
-			cn.forget(id)
-			return nil, err
-		}
-		// Yield once, as the server does after its inline write: the
-		// writer goroutine's wake-up used to start an idle processor
-		// that polled the network, and Gosched starts one in its place,
-		// so the reply's reader runs as soon as the reply lands.
-		runtime.Gosched()
-	} else {
-		sr := sendReq{payload: wire.AppendRequest(nil, req)}
-		if err := checkFrame(len(sr.payload)); err != nil {
-			cn.forget(id)
-			return nil, err
-		}
-		if tr != nil {
-			sr.traced = p
-		}
-		select {
-		case cn.send <- sr:
-		case <-ctx.Done():
-			cn.forget(id)
-			return nil, ctx.Err()
-		case <-p.done:
-			return nil, p.err // connection failed while we queued
-		}
+	if err := cn.send(ctx, req, p); err != nil {
+		cn.forget(id)
+		return nil, err
 	}
 
 	select {
@@ -756,12 +722,10 @@ func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, erro
 		}
 		if tr != nil {
 			end := time.Now()
+			sent := time.Unix(0, p.sent.Load())
 			tr.Total = end.Sub(tEnq)
-			if ns := p.sentNS.Load(); ns != 0 {
-				sent := time.Unix(0, ns)
-				tr.QueueWait = sent.Sub(tEnq)
-				tr.RoundTrip = end.Sub(sent)
-			}
+			tr.QueueWait = sent.Sub(tEnq)
+			tr.RoundTrip = end.Sub(sent)
 			tr.ServerStages = tr.ServerStages[:0]
 			if p.resp.Traced {
 				tr.ServerStages = append(tr.ServerStages, p.resp.Stages...)
@@ -782,80 +746,99 @@ func (cn *conn) forget(id uint64) {
 	cn.mu.Unlock()
 }
 
-// checkFrame refuses a request payload of n bytes that exceeds the
-// frame limit before any of it is sent: the server would drop the
-// connection, and every call in flight on it, over such a frame.
-func checkFrame(n int) error {
-	if n > wire.MaxFrame {
-		return fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrame)
+// send encodes req's frame into the write buffer, first waiting for
+// room if the buffer is full, and takes the writer role if no one holds
+// it (see the package comment). It returns an error only for a request
+// it did not buffer: one too large to send, or one whose context ended
+// or whose connection failed while it waited. A failed write closes the
+// connection, which completes p with the error.
+func (cn *conn) send(ctx context.Context, req *wire.Request, p *pending) error {
+	cn.wmu.Lock()
+	for len(cn.buf) >= bufKeep {
+		if cn.room == nil {
+			cn.room = make(chan struct{})
+		}
+		room := cn.room
+		cn.wmu.Unlock()
+		select {
+		case <-room:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-p.done:
+			return p.err // the connection failed while we waited
+		}
+		cn.wmu.Lock()
 	}
+	n := len(cn.buf)
+	cn.buf = wire.AppendRequestFrame(cn.buf, req)
+	// Refuse a frame past the limit before any of it is sent: the server
+	// would drop the connection, and every call in flight on it, over it.
+	if size := len(cn.buf) - n - 4; size > wire.MaxFrame {
+		cn.buf = cn.buf[:n]
+		cn.wmu.Unlock()
+		return fmt.Errorf("client: request of %d bytes exceeds the %d-byte frame limit", size, wire.MaxFrame)
+	}
+	if req.Traced {
+		if cn.sent == nil {
+			cn.sent = new(atomic.Int64)
+		}
+		p.sent = cn.sent
+	}
+	if cn.writing {
+		cn.wmu.Unlock()
+		return nil // the role's holder writes this frame too
+	}
+	cn.writing = true
+	cn.wmu.Unlock()
+	if ctx.Done() == nil && !cn.write() {
+		// Yield once, as the server does after its write: a writer
+		// goroutine's wake-up used to start an idle processor that polled
+		// the network, and Gosched starts one in its place, so the reply's
+		// reader runs as soon as the reply lands. Starting the goroutine
+		// below wakes one too.
+		runtime.Gosched()
+		return nil
+	}
+	// A write into a full socket blocks where cancellation cannot reach,
+	// and a caller writes nothing beyond its own write: the rest goes to
+	// a goroutine that writes until the buffer is empty, then exits.
+	go func() {
+		for cn.write() {
+		}
+	}()
 	return nil
 }
 
-// writeInline sends req from the calling goroutine: it encodes the
-// frame straight into the write buffer and flushes. The caller holds
-// wmu. A failed write closes the connection, which completes p with the
-// error; only a request too large to send is returned.
-func (cn *conn) writeInline(req *wire.Request, p *pending, traced bool) error {
-	if traced {
-		p.sentNS.Store(time.Now().UnixNano())
+// write is the writer role's step, and the only write to the socket:
+// its caller holds the role, and it writes every frame in the buffer
+// with one Write, making room for the calls waiting for it. It reports
+// whether frames arrived during the write, in which case the caller
+// still holds the role; otherwise, or if the write failed, the role is
+// given up.
+func (cn *conn) write() bool {
+	cn.wmu.Lock()
+	out, sent := cn.buf, cn.sent
+	cn.buf, cn.spare, cn.sent = cn.spare[:0], nil, nil
+	if cn.room != nil {
+		close(cn.room)
+		cn.room = nil
 	}
-	b := wire.AppendRequestFrame(cn.bw.AvailableBuffer(), req)
-	if err := checkFrame(len(b) - 4); err != nil {
-		return err
+	cn.wmu.Unlock()
+	if sent != nil {
+		sent.Store(time.Now().UnixNano())
 	}
-	_, err := cn.bw.Write(b)
-	if err == nil {
-		err = cn.bw.Flush()
-	}
+	_, err := cn.nc.Write(out)
 	if err != nil {
 		cn.close(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
 	}
-	return nil
-}
-
-// writeLoop drains the send queue, coalescing every already-queued
-// request into one buffer before handing it to the kernel.
-func (cn *conn) writeLoop() {
-	for {
-		var sr sendReq
-		select {
-		case sr = <-cn.send:
-		case <-cn.dead:
-			return
-		}
-		cn.wmu.Lock()
-		err := cn.writeQueued(sr)
-		// Coalesce: keep encoding while more requests are queued; flush
-		// only when the queue runs empty.
-	coalesce:
-		for err == nil {
-			select {
-			case sr = <-cn.send:
-				err = cn.writeQueued(sr)
-			default:
-				break coalesce
-			}
-		}
-		if err == nil {
-			err = cn.bw.Flush()
-		}
-		cn.wmu.Unlock()
-		if err != nil {
-			cn.close(fmt.Errorf("%w: write: %w", ErrConnBroken, err))
-			return
-		}
+	if cap(out) > bufKeep {
+		out = nil
 	}
-}
-
-// writeQueued appends one dequeued request's frame to the write buffer,
-// stamping its send time when the call is traced. The caller holds wmu.
-func (cn *conn) writeQueued(sr sendReq) error {
-	if sr.traced != nil {
-		sr.traced.sentNS.Store(time.Now().UnixNano())
-	}
-	_, err := cn.bw.Write(wire.AppendFrame(cn.bw.AvailableBuffer(), sr.payload))
-	return err
+	cn.wmu.Lock()
+	defer cn.wmu.Unlock()
+	cn.spare = out[:0]
+	cn.writing = err == nil && len(cn.buf) > 0
+	return cn.writing
 }
 
 // readLoop decodes response frames and completes pendings by id.

@@ -3,7 +3,9 @@ package client_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,15 +15,16 @@ import (
 	"mwllsc/internal/wire"
 )
 
-// TestInlineAndQueuedSendsMatchCallers runs many callers through one
-// connection, alternating contexts that can never end (eligible to
-// write their own frames when the writer is idle) with cancelable ones
-// (always queued for the writer goroutine), through a proxy whose
-// client-facing side splits writes. Each caller owns one shard, so
-// every value it gets back is predictable: a response delivered to the
-// wrong caller, or a frame torn between an inline and a queued writer,
-// shows up as a wrong value or a dead connection.
-func TestInlineAndQueuedSendsMatchCallers(t *testing.T) {
+// TestCallerAndHandoffWritersMatchCallers runs many callers through
+// one connection, alternating contexts that can never end (which write
+// the buffer themselves when they find no write in progress) with
+// cancelable ones (which always hand the writer role to a short-lived
+// goroutine), through a proxy whose client-facing side splits writes.
+// Each caller owns one shard, so every value it gets back is
+// predictable: a response delivered to the wrong caller, or a frame
+// torn between the two writer roles, shows up as a wrong value or a
+// dead connection.
+func TestCallerAndHandoffWritersMatchCallers(t *testing.T) {
 	const (
 		callers = 16
 		perC    = 100
@@ -90,15 +93,20 @@ func TestInlineAndQueuedSendsMatchCallers(t *testing.T) {
 // TestDeadlineWhilePeerStopsReading: a peer that stops reading lets the
 // socket fill, and then every write to it blocks. A call with a
 // deadline must still return context.DeadlineExceeded on time, which is
-// why it never writes its own frame, even when it finds the writer
-// idle. The first call's request alone overfills the socket; the
-// second finds the writer goroutine stuck writing it.
+// why it never blocks in a write, even when it finds no write in
+// progress. The first call's request alone overfills the socket; the
+// second finds the writer stuck writing it. More calls than the write
+// buffer holds then pile up behind the stuck write: each must time out
+// on time too, and the buffer must stop at its bound, so the calls past
+// it are never sent. Closing the client must then unblock the writer,
+// so no goroutine outlives the client.
 func TestDeadlineWhilePeerStopsReading(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	baseline := runtime.NumGoroutine()
 	accepted := make(chan net.Conn, 1)
 	go func() {
 		nc, err := l.Accept()
@@ -139,10 +147,135 @@ func TestDeadlineWhilePeerStopsReading(t *testing.T) {
 			t.Fatalf("%s: still blocked 1s past its 50ms deadline", call.name)
 		}
 	}
+
+	const calls = 300
+	row := make([]uint64, 128) // a 1 KiB set: 300 of them overfill the buffer
+	frame := len(wire.AppendRequestFrame(nil, &wire.Request{Op: wire.OpUpdate, Mode: wire.ModeSet, Key: 1, Args: row}))
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			_, err := c.Set(ctx, 1, row)
+			errs <- err
+		}()
+	}
+	late := time.After(time.Second)
+	for i := 0; i < calls; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("set behind the stuck write: err = %v, want context.DeadlineExceeded", err)
+			}
+		case <-late:
+			t.Fatalf("%d of %d sets behind the stuck write still blocked 1s past their 50ms deadline", calls-i, calls)
+		}
+	}
+	if got := client.BufferedBytes(c); got < client.BufKeep || got >= client.BufKeep+frame {
+		t.Fatalf("%d bytes wait behind the stuck write, want the bound: at least %d, less than %d",
+			got, client.BufKeep, client.BufKeep+frame)
+	}
+
+	c.Close()
+	peer.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutine leak after Close with a stuck write: %d > %d\n%s",
+			n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestFullBufferWaitsForRoom: calls that find the write buffer full
+// behind a blocked write wait for room, whether or not their context
+// can end, and every one of them completes once the peer reads again.
+// A gate in front of the server reads a frame's length prefix and then
+// nothing until it opens, so the first request, 6 MiB, blocks its
+// write; 300 1 KiB adds then fill the buffer behind it and the rest
+// wait.
+func TestFullBufferWaitsForRoom(t *testing.T) {
+	const calls = 300
+	srv, addr := startServer(t, 4, 4, 128)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	started, open := make(chan struct{}), make(chan struct{})
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		var hdr [4]byte
+		if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+			return
+		}
+		close(started)
+		<-open
+		bc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer bc.Close()
+		if _, err := bc.Write(hdr[:]); err != nil {
+			return
+		}
+		go io.Copy(nc, bc)
+		io.Copy(bc, nc)
+	}()
+	c := dial(t, l.Addr().String(), client.WithRetries(0))
+
+	go c.Set(context.Background(), 1, make([]uint64, 6<<20/8)) // refused by the server: not 128 words
+	<-started
+	m := srv.Map()
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		ctx := context.Background()
+		if i%2 == 0 {
+			ctx = cancelable
+		}
+		go func() {
+			deltas := make([]uint64, 128)
+			deltas[0] = 1
+			_, err := c.Add(ctx, m.KeyForShard(i%4), deltas)
+			errs <- err
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); client.BufferedBytes(c) < client.BufKeep; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes wait behind the blocked write after 5s, want the buffer full (%d)",
+				client.BufferedBytes(c), client.BufKeep)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(open)
+	for i := 0; i < calls; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("add behind the blocked write: %v", err)
+		}
+	}
+	rows, err := c.SnapshotAtomic(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adds uint64
+	for _, r := range rows {
+		adds += r[0]
+	}
+	if adds != calls {
+		t.Fatalf("adds across shards = %d, want %d", adds, calls)
+	}
 }
 
 // TestOversizedRequestFailsAlone: a request past the frame limit fails
-// before any of it is sent, on the inline path and the queued one, and
+// before any of it is sent, whether or not its context can end, and
 // the connection keeps serving — the server would otherwise drop the
 // connection over the frame, and every call in flight on it.
 func TestOversizedRequestFailsAlone(t *testing.T) {

@@ -156,11 +156,11 @@ func TestIdleTimeoutSparesActiveClient(t *testing.T) {
 
 // TestWriteStallEviction: a peer that requests snapshots and never
 // reads the responses fills its TCP window; the write deadline evicts
-// it instead of parking a writer forever. Pipelined, the requests
-// arrive together and the stalled write is the writer goroutine's or
-// the executor's; unpipelined, each request is a batch of its own
-// that finds the writer idle, so the stalled write is the executor's
-// inline one. Either way both connection goroutines must unwind.
+// it instead of parking the connection's goroutine forever in a write.
+// Pipelined, the requests arrive together and one batch's write
+// stalls; unpipelined, each request is a batch of its own, and the
+// stalled write is one single-response batch's. Either way the
+// connection's one goroutine must unwind.
 func TestWriteStallEviction(t *testing.T) {
 	for _, pipelined := range []bool{true, false} {
 		name := "unpipelined"

@@ -1,12 +1,12 @@
 package wire
 
 // Cross-version Stats compatibility: the stats row has grown twice —
-// PersistErrs (word 13, PR 4) and the latency quantiles
-// LatP50/LatP99/LatP999/FsyncP99 (words 14-17, the obs PR) — always as
-// optional trailing words under the tolerant-decode rule. These tests
-// pin both directions of every pairing: each historical row shape
-// through today's decoder, and today's row through reconstructions of
-// the historical decoders.
+// first PersistErrs (word 12), then the latency quantiles
+// LatP50/LatP99/LatP999/FsyncP99 (words 13-16), numbered from 0 as in
+// docs/WIRE.md — always as optional trailing words under the
+// tolerant-decode rule. These tests pin both directions of every
+// pairing: each historical row shape through today's decoder, and
+// today's row through reconstructions of the historical decoders.
 
 import (
 	"bytes"

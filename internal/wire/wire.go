@@ -438,7 +438,15 @@ func DecodeResponse(resp *Response, payload []byte) error {
 	resp.Attempts = binary.LittleEndian.Uint32(body)
 	resp.Rows = binary.LittleEndian.Uint32(body[4:])
 	resp.Words = binary.LittleEndian.Uint32(body[8:])
+	if resp.Rows > 0 && resp.Words == 0 {
+		return fmt.Errorf("wire: ok response promises %d rows of 0 words", resp.Rows)
+	}
 	data := body[12:]
+	// Rows×Words fits in a uint64 but its byte count may not, so compare
+	// in words before computing want.
+	if uint64(resp.Rows)*uint64(resp.Words) > uint64(len(data))/8 {
+		return fmt.Errorf("wire: response data %d bytes, header promises %d rows of %d words", len(data), resp.Rows, resp.Words)
+	}
 	want := uint64(resp.Rows) * uint64(resp.Words) * 8
 	if uint64(len(data)) > want {
 		// Extra bytes past the promised data words: the trailing trace
@@ -456,9 +464,6 @@ func DecodeResponse(resp *Response, payload []byte) error {
 		resp.TraceID = binary.LittleEndian.Uint64(extra[1:])
 		resp.Stages = appendWords(resp.Stages, extra[10:])
 		data = data[:want]
-	}
-	if uint64(len(data)) != want {
-		return fmt.Errorf("wire: response data %d bytes, header promises %d", len(data), want)
 	}
 	resp.Data = appendWords(resp.Data, data)
 	return nil
@@ -637,13 +642,13 @@ type ServerStats struct {
 	DegradedRejects uint64
 }
 
-// statsWords is the minimum wire width of ServerStats; PersistErrs
-// rides as an optional 13th word, the latency quantiles
-// (LatP50/LatP99/LatP999/FsyncP99) as optional words 14-17, and the
-// overload-control counters (ShedConns/BusyRejects/Evictions/
-// IdleCloses/DegradedRejects) as optional words 17-21, so new clients
-// still decode rows from older servers (and, per the tolerant-decode
-// rule above, vice versa).
+// statsWords is the minimum wire width of ServerStats. Numbering words
+// from 0 as docs/WIRE.md does, PersistErrs rides as optional word 12,
+// the latency quantiles (LatP50/LatP99/LatP999/FsyncP99) as optional
+// words 13-16, and the overload-control counters (ShedConns/
+// BusyRejects/Evictions/IdleCloses/DegradedRejects) as optional words
+// 17-21, so new clients still decode rows from older servers (and, per
+// the tolerant-decode rule above, vice versa).
 const statsWords = 12
 
 // Append encodes s in field order.

@@ -97,6 +97,9 @@ func TestDecodeResponseRejectsMalformed(t *testing.T) {
 		{"short ok body", AppendResponse(nil, &Response{Status: StatusOK})[:10]},
 		{"data shorter than header promises", AppendResponse(nil, &Response{Status: StatusOK, Rows: 2, Words: 2, Data: []uint64{1, 2, 3, 4}})[:9+12+8]},
 		{"error message truncated", AppendResponse(nil, &Response{Status: StatusBadRequest, Err: "boom"})[:12]},
+		// Rows×Words×8 wraps to 0 in uint64, so no data looked like enough.
+		{"data size wraps", AppendResponse(nil, &Response{Status: StatusOK, Rows: 1 << 31, Words: 1 << 30})},
+		{"rows of zero words", AppendResponse(nil, &Response{Status: StatusOK, Rows: 1<<32 - 1, Words: 0})},
 	}
 	var resp Response
 	for _, tc := range cases {
