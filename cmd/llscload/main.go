@@ -1,8 +1,8 @@
-// Command llscload is the standalone load generator for the llscd
-// serving layer — the same closed-loop measurement as llscbench's E11,
-// pointed at any server. With -addr it drives a running llscd; without
-// it, it spins an in-process server over loopback first (the
-// self-contained E11 setup).
+// Command llscload is the standalone closed-loop load generator for the
+// llscd serving layer, pointed at any server. With -addr it drives a
+// running llscd; without it, it spins an in-process server over
+// loopback first. (The repo's regression benchmark is cmd/llscperf;
+// llscload is the tool for probing one server by hand.)
 //
 // Usage:
 //
@@ -15,18 +15,19 @@
 // server-side batch-execute p50/p99 from the target's latency
 // histograms (zero against servers that predate them), the server's
 // average batch size, and the count of failed operations, in the same
-// table and JSON formats as llscbench, so runs slot into the
-// BENCH_*.json trajectory. The gap between the client and server
-// columns is the wire, syscall and queue time. Any op errors make the
-// run exit nonzero (after reporting), so a CI smoke cannot pass on a
-// silently failing load.
+// table and JSON formats as llscbench (the table keeps the id e11 of
+// the retired llscbench serving experiment). The gap between the
+// client and server columns is the wire, syscall and queue time. Any
+// op errors make the run exit nonzero (after reporting), so a CI smoke
+// cannot pass on a silently failing load.
 //
 // With -trace N every Nth request per worker is traced end to end
 // (wire-propagated trace id, see docs/OBSERVABILITY.md): a second
-// table breaks the p50 and p99 exemplar requests into client send
-// queue, on-wire round trip, and — against an llscd with tracing —
-// the six server stages (decode, queue, acquire, execute, persist,
-// fsync), each row grep-able in the server's /tracez by trace id.
+// table breaks the p50 and p99 exemplar requests into client
+// write-buffer wait, on-wire round trip, and — against an llscd with
+// tracing — the six server stages (decode, queue, acquire, execute,
+// persist, fsync), each row grep-able in the server's /tracez by trace
+// id.
 package main
 
 import (

@@ -119,9 +119,9 @@
 // Batching never reorders two operations on the same key from one
 // connection. A server can also be embedded in-process (NewServer) and
 // the map used locally at the same time — both sides share one registry
-// and one linearizable history. The E11 experiment (cmd/llscbench -e
-// e11, standalone cmd/llscload) measures throughput and p50/p99 latency
-// over loopback vs connection count and pipelining depth. The wire
+// and one linearizable history. The benchmark (cmd/llscperf, workloads
+// rpc and pipelined) measures the served round trip over loopback, and
+// cmd/llscload drives a closed loop against any address. The wire
 // protocol is specified in docs/WIRE.md.
 //
 // # Durability
@@ -169,10 +169,10 @@
 // and fsync p99 as optional trailing words old clients ignore. Every
 // surface folds the same striped banks, so they never disagree. The
 // E13 allocation gate runs with observability enabled, and the E14
-// experiment (cmd/llscbench -e e14) prices the histograms against a
-// server without them — the delta sits inside measurement noise,
-// with a documented ceiling of 3%. The metric catalog and design
-// notes live in docs/OBSERVABILITY.md.
+// experiment (cmd/llscbench -e e14) prices the histograms and the
+// tracer against a bare server — the idle deltas sit inside
+// measurement noise, with a documented ceiling of 3%. The metric
+// catalog and design notes live in docs/OBSERVABILITY.md.
 //
 // # Substrates
 //

@@ -7,16 +7,15 @@ import (
 	"mwllsc/internal/wire"
 )
 
-// E13Allocs builds the allocation-gate table: steady-state heap
-// allocations per operation on every stage of the serving hot path —
-// wire encode and decode for requests and responses, and the server's
+// E13Allocs builds the allocation table: steady-state heap allocations
+// per operation on every stage of the serving hot path — wire encode
+// and decode for requests and responses, and the server's
 // execute-and-write path for Read and Update. Each row must be zero:
 // the per-slot responses, recycled frame/data buffers, reacquirable map
 // handle and pre-bound merge closures exist precisely so that serving a
-// warm request allocates nothing, and the CI gate (cmd/llscgate) fails
-// the build on any increase, which is how an accidental new allocation
-// on the hot path surfaces as a red check instead of a slow drift in
-// the throughput trend.
+// warm request allocates nothing, and TestE13AllocsZero fails the build
+// on any new allocation, so one on the hot path surfaces as a red
+// check instead of a slow drift in throughput.
 func E13Allocs(o Options) (*Table, error) {
 	const runs = 400
 	t := &Table{
@@ -25,7 +24,7 @@ func E13Allocs(o Options) (*Table, error) {
 		Note: "wire rows: one encode or decode of a W=2 Update/Read-shaped payload into recycled buffers; " +
 			"server rows: one request through the batch executor and the response write, " +
 			"response slots, handle and buffers warm. " +
-			"All rows are gated at zero — any increase fails llscgate.",
+			"Every row must be zero; TestE13AllocsZero fails on any increase.",
 		Cols: []string{"path", "allocs/op"},
 	}
 

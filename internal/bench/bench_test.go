@@ -125,21 +125,10 @@ func TestAllExperimentsBuild(t *testing.T) {
 	}
 	o := fast()
 	o.Impls = []string{"jp", "amstyle"} // keep the smoke test fast
-	builders := map[string]func(Options) (*Table, error){
-		"E1": E1TimeComplexity,
-		"E2": E2Space,
-		"E3": E3Throughput,
-		"E4": E4Helping,
-		"E5": E5Substrate,
-		"E6": E6Applications,
-		"E7": E7Allocation,
-		"E8": E8Sharding,
-		"E9": E9Registry,
-	}
-	for name, build := range builders {
-		name, build := name, build
+	for _, e := range Experiments {
+		name := strings.ToUpper(e.ID)
 		t.Run(name, func(t *testing.T) {
-			tb, err := build(o)
+			tb, err := e.Build(o)
 			if err != nil {
 				t.Fatal(err)
 			}

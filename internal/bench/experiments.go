@@ -19,11 +19,6 @@ type Options struct {
 	Iters int
 	// Impls restricts which implementations run (default: all).
 	Impls []string
-	// Procs is the GOMAXPROCS sweep for the serving experiments E11/E12
-	// (default: ProcsSweep()). Values above NumCPU are honored — on a
-	// small CI box that still exercises the scheduler-contention shape,
-	// and the report's gomaxprocs/num_cpu stamps keep the run honest.
-	Procs []int
 }
 
 func (o Options) withDefaults() Options {
@@ -36,28 +31,31 @@ func (o Options) withDefaults() Options {
 	if len(o.Impls) == 0 {
 		o.Impls = impls.Names()
 	}
-	if len(o.Procs) == 0 {
-		o.Procs = ProcsSweep()
-	}
 	return o
 }
 
-// ProcsSweep returns the default GOMAXPROCS sweep for the serving
-// experiments: {1, 4, 8, 16} capped at the ambient parallelism — the
-// larger of NumCPU and the starting GOMAXPROCS, so GOMAXPROCS=4 in the
-// environment raises the ceiling on a single-core machine.
-func ProcsSweep() []int {
-	ceil := runtime.NumCPU()
-	if g := runtime.GOMAXPROCS(0); g > ceil {
-		ceil = g
-	}
-	procs := []int{1}
-	for _, p := range []int{4, 8, 16} {
-		if p <= ceil {
-			procs = append(procs, p)
-		}
-	}
-	return procs
+// Experiment is one table cmd/llscbench can regenerate.
+type Experiment struct {
+	ID    string // the -e name: e1, e2, ...
+	Build func(Options) (*Table, error)
+}
+
+// Experiments lists every experiment in run order.
+var Experiments = []Experiment{
+	{"e1", E1TimeComplexity},
+	{"e2", E2Space},
+	{"e3", E3Throughput},
+	{"e4", E4Helping},
+	{"e5", E5Substrate},
+	{"e6", E6Applications},
+	{"e7", E7Allocation},
+	{"e8", E8Sharding},
+	{"e9", E9Registry},
+	{"e10", E10Transactions},
+	{"e12", E12Durability},
+	{"e13", E13Allocs},
+	{"e14", E14Instrumentation},
+	{"e16", E16Overload},
 }
 
 // E1TimeComplexity builds the Theorem 1 time table: per-op latency vs W.

@@ -10,15 +10,15 @@ import (
 )
 
 // Report is the machine-readable form of a benchmark run, written by
-// `llscbench -json` so successive runs can be archived (BENCH_*.json) and
-// diffed to track the performance trajectory across PRs.
+// `llscbench -json` (and `llscload -json`) so runs can be archived and
+// diffed.
 type Report struct {
 	// Tool identifies the producer ("llscbench").
 	Tool string `json:"tool"`
 	// GoVersion, GOMAXPROCS, NumCPU and Hostname pin down enough of the
-	// environment to compare runs honestly: BENCH_baseline.json was
-	// recorded at GOMAXPROCS=1, which is invisible without this stamp
-	// and makes its absolute numbers incomparable to parallel runs.
+	// environment to compare runs honestly: a run at GOMAXPROCS=1 is
+	// invisible without this stamp, and its absolute numbers are not
+	// comparable to parallel runs.
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -17,19 +16,19 @@ import (
 )
 
 // StartLoopbackServer builds a k×w map with n slots and serves it on a
-// free loopback port — the in-process llscd the serving benchmarks (and
-// cmd/llscload without -addr) measure against. Callers own Close.
+// free loopback port — the in-process llscd that cmd/llscload without
+// -addr measures against. Callers own Close.
 func StartLoopbackServer(k, n, w, maxBatch int) (*server.Server, string, error) {
 	m, err := shard.NewMap(k, n, w)
 	if err != nil {
 		return nil, "", err
 	}
 	// Metrics and tracer on, matching the daemon's always-on
-	// configuration: the numbers the serving benchmarks record are the
-	// numbers production pays, llscload's server-side latency columns
-	// need the histograms populated, and its -trace exemplars need a
-	// tracer answering. Sampling stays off, so the tracer's untraced
-	// cost is one clock read per batch (priced by E15).
+	// configuration: the numbers llscload records are the numbers
+	// production pays, its server-side latency columns need the
+	// histograms populated, and its -trace exemplars need a tracer
+	// answering. Sampling stays off, so the tracer's untraced
+	// cost is one clock read per batch (E14's idle arm prices it).
 	s := server.New(m,
 		server.WithMaxBatch(maxBatch),
 		server.WithMetrics(server.NewMetrics(n)),
@@ -229,70 +228,4 @@ func NetLoadClosedLoop(addr string, conns, workers, w int, dur time.Duration, tr
 		res.SrvP99 = time.Duration(after.LatP99)
 	}
 	return res, nil
-}
-
-// E11NetServing builds the serving-layer load table: closed-loop Add
-// throughput and latency over loopback TCP vs connection count and
-// per-connection pipelining depth, against one in-process llscd. This
-// is the experiment that turns the in-process E8 numbers into
-// end-to-end service numbers: the deltas between the two are the wire,
-// syscall and batching costs.
-func E11NetServing(o Options) (*Table, error) {
-	o = o.withDefaults()
-	const (
-		k        = 16
-		w        = 2
-		maxBatch = 64
-	)
-	type point struct{ conns, perConn int }
-	points := []point{
-		{1, 1}, {1, 8}, {1, 32},
-		{2, 8}, {2, 32},
-		{4, 8}, {4, 32},
-	}
-	maxConns := 0
-	for _, p := range points {
-		if p.conns > maxConns {
-			maxConns = p.conns
-		}
-	}
-
-	t := &Table{
-		ID: "e11",
-		Title: fmt.Sprintf("E11: networked serving over loopback TCP (K=%d shards, W=%d, maxbatch=%d, %v/point)",
-			k, w, maxBatch, o.Dur),
-		Note: "closed-loop Add(key, deltas) load; procs = GOMAXPROCS for the point; " +
-			"conns = client pool size (server-side parallelism), " +
-			"inflight = concurrent workers (pipelining depth = inflight/conns); " +
-			"avg batch = server requests per registry acquisition.",
-		Cols: []string{"procs", "conns", "inflight", "ops/s", "p50 us", "p99 us", "avg batch"},
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0)) // restore the ambient setting
-	for _, procs := range o.Procs {
-		runtime.GOMAXPROCS(procs)
-		// A fresh server per procs value: goroutines parked on the old
-		// setting's run queues must not color the next sweep point.
-		err := func() error {
-			// Each in-flight batch pins one registry slot; a couple of spares
-			// keep Stats and stragglers from queueing behind the loadgen.
-			srv, addr, err := StartLoopbackServer(k, maxConns+2, w, maxBatch)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			for _, p := range points {
-				res, err := NetLoadClosedLoop(addr, p.conns, p.conns*p.perConn, w, o.Dur, 0)
-				if err != nil {
-					return fmt.Errorf("conns=%d inflight=%d: %w", p.conns, p.conns*p.perConn, err)
-				}
-				t.AddRow(procs, p.conns, p.conns*p.perConn, res.OpsPerSec,
-					float64(res.P50.Nanoseconds())/1e3, float64(res.P99.Nanoseconds())/1e3, res.AvgBatch)
-			}
-			return nil
-		}()
-		if err != nil {
-			return nil, fmt.Errorf("E11 procs=%d: %w", procs, err)
-		}
-	}
-	return t, nil
 }

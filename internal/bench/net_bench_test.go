@@ -97,27 +97,3 @@ func TestNetLoadTraced(t *testing.T) {
 		t.Fatalf("unexpected op errors: %d (%s)", res.Errs, res.LastErr)
 	}
 }
-
-func TestE11NetServing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-point load run; skipped with -short")
-	}
-	// Two explicit procs values: the sweep must yield one row group per
-	// value regardless of the machine's core count.
-	tab, err := E11NetServing(Options{Dur: 10 * time.Millisecond, Iters: 100, Procs: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.ID != "e11" || len(tab.Rows) != 14 || len(tab.Cols) != 7 {
-		t.Fatalf("table shape: id=%s rows=%d cols=%d", tab.ID, len(tab.Rows), len(tab.Cols))
-	}
-	for i, row := range tab.Rows {
-		want := "1"
-		if i >= 7 {
-			want = "2"
-		}
-		if row[0] != want {
-			t.Fatalf("row %d procs = %s, want %s", i, row[0], want)
-		}
-	}
-}

@@ -2,24 +2,33 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"mwllsc/internal/server"
 	"mwllsc/internal/shard"
+	"mwllsc/internal/trace"
 )
 
-// E14ObsOverhead prices the observability layer on the serving hot
-// path: the same closed-loop loopback load as E11, run back to back
-// against a server without latency histograms ("off") and one with
-// them ("on", the daemon's always-on configuration). The striped
-// counters are part of the server in both rows — they replaced the
-// shared atomics outright — so the delta isolates what the gated part
-// costs: the per-batch time.Now() pair plus three histogram ObserveN
-// calls. docs/OBSERVABILITY.md records the budget: the "on" rows must
-// hold within the gate's throughput bands of "off", i.e. well under a
-// 3% median loss; both row sets are gated against the baseline by
-// cmd/llscgate so neither the layer nor its bypass regresses silently.
-func E14ObsOverhead(o Options) (*Table, error) {
+// E14Instrumentation prices the observability and tracing layers on the
+// serving hot path: the same closed-loop loopback Add load, run against
+// a fresh server in each of five configurations —
+//
+//	bare:    no latency histograms, no tracer
+//	metrics: latency histograms on
+//	idle:    histograms plus a tracer with sampling off — the daemon's
+//	         default; the delta vs metrics is one time.Now() per batch
+//	         head, and the E13 gate holds this configuration at zero
+//	         allocations
+//	1/64:    head sampling at -trace-sample 64, the suggested production
+//	         setting; every 64th request pays the full span path
+//	all:     -trace-sample 1, every request traced — the worst case,
+//	         what a debugging session costs
+//
+// The striped counters run in every arm: they replaced the shared
+// atomics outright. docs/OBSERVABILITY.md records the budget: metrics
+// must hold within 3% of bare, and idle within 3% of metrics; 1/64 and
+// all are allowed to cost, and their rows exist so the cost is a
+// number, not a guess.
+func E14Instrumentation(o Options) (*Table, error) {
 	o = o.withDefaults()
 	const (
 		k        = 16
@@ -31,49 +40,66 @@ func E14ObsOverhead(o Options) (*Table, error) {
 
 	t := &Table{
 		ID: "e14",
-		Title: fmt.Sprintf("E14: observability overhead on the serving path (K=%d, W=%d, conns=%d, inflight=%d, %v/point)",
+		Title: fmt.Sprintf("E14: instrumentation overhead on the serving path (K=%d, W=%d, conns=%d, inflight=%d, %v/arm)",
 			k, w, conns, conns*perConn, o.Dur),
-		Note: "closed-loop loopback Add load, as E11; obs=off is a server without latency histograms, " +
-			"obs=on the daemon's always-on configuration. Striped counters run in both. " +
-			"srv p99 is the server's own batch-execute histogram (0 when off).",
-		Cols: []string{"procs", "obs", "ops/s", "p50 us", "p99 us", "srv p99 us"},
+		Note: "closed-loop loopback Add load; bare = no histograms, no tracer; metrics = histograms on; " +
+			"idle = histograms + tracer with sampling off (daemon default); 1/64 = -trace-sample 64; " +
+			"all = every request traced. Striped counters run in every arm. " +
+			"srv p99 is the server's own batch-execute histogram (0 in bare).",
+		Cols: []string{"arm", "ops/s", "p50 us", "p99 us", "srv p99 us", "spans/s"},
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0)) // restore the ambient setting
-	for _, procs := range o.Procs {
-		runtime.GOMAXPROCS(procs)
-		for _, mode := range []struct {
-			label string
-			on    bool
-		}{{"off", false}, {"on", true}} {
-			// A fresh server per point, as in E11: no cross-point state.
-			err := func() error {
-				m, err := shard.NewMap(k, conns+2, w)
-				if err != nil {
-					return err
-				}
-				opts := []server.Option{server.WithMaxBatch(maxBatch)}
-				if mode.on {
-					opts = append(opts, server.WithMetrics(server.NewMetrics(m.N())))
-				}
-				s := server.New(m, opts...)
-				addr, err := s.Listen("127.0.0.1:0")
-				if err != nil {
-					return err
-				}
-				go s.Serve()
-				defer s.Close()
-				res, err := NetLoadClosedLoop(addr.String(), conns, conns*perConn, w, o.Dur, 0)
-				if err != nil {
-					return err
-				}
-				t.AddRow(procs, mode.label, res.OpsPerSec,
-					float64(res.P50.Nanoseconds())/1e3, float64(res.P99.Nanoseconds())/1e3,
-					float64(res.SrvP99.Nanoseconds())/1e3)
-				return nil
-			}()
+	arms := []struct {
+		name    string
+		metrics bool
+		tracer  bool
+		sampleN uint64
+	}{
+		{"bare", false, false, 0},
+		{"metrics", true, false, 0},
+		{"idle", true, true, 0},
+		{"1/64", true, true, 64},
+		{"all", true, true, 1},
+	}
+	for _, arm := range arms {
+		// A fresh server per arm: no state carries from one arm to the next.
+		err := func() error {
+			m, err := shard.NewMap(k, conns+2, w)
 			if err != nil {
-				return nil, fmt.Errorf("E14 procs=%d obs=%s: %w", procs, mode.label, err)
+				return err
 			}
+			opts := []server.Option{server.WithMaxBatch(maxBatch)}
+			if arm.metrics {
+				opts = append(opts, server.WithMetrics(server.NewMetrics(m.N())))
+			}
+			var tr *trace.Tracer
+			if arm.tracer {
+				tr = trace.New(trace.Config{SampleN: arm.sampleN})
+				opts = append(opts, server.WithTracer(tr))
+			}
+			s := server.New(m, opts...)
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				return err
+			}
+			go s.Serve()
+			defer s.Close()
+			res, err := NetLoadClosedLoop(addr.String(), conns, conns*perConn, w, o.Dur, 0)
+			if err != nil {
+				return err
+			}
+			spansPerSec := 0.0
+			if tr != nil {
+				// Retired spans over the window, normalized the same way
+				// as ops/s (the window dominates the elapsed time).
+				spansPerSec = float64(tr.Stats().Retired) * res.OpsPerSec / float64(res.Ops)
+			}
+			t.AddRow(arm.name, res.OpsPerSec,
+				float64(res.P50.Nanoseconds())/1e3, float64(res.P99.Nanoseconds())/1e3,
+				float64(res.SrvP99.Nanoseconds())/1e3, spansPerSec)
+			return nil
+		}()
+		if err != nil {
+			return nil, fmt.Errorf("E14 %s: %w", arm.name, err)
 		}
 	}
 	return t, nil

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"os"
-	"runtime"
 
 	"mwllsc/internal/persist"
 	"mwllsc/internal/server"
@@ -30,10 +29,10 @@ func E12Durability(o Options) (*Table, error) {
 		ID: "e12",
 		Title: fmt.Sprintf("E12: durability cost over loopback TCP (K=%d shards, W=%d, maxbatch=%d, conns=%d, inflight=%d, %v/point)",
 			k, w, maxBatch, conns, workers, o.Dur),
-		Note: "closed-loop Add load as in E11; procs = GOMAXPROCS for the point; memory = no persistence; " +
+		Note: "closed-loop Add load (NetLoadClosedLoop); memory = no persistence; " +
 			"none/everysec/always = append-only log with that fsync policy (always gates each ack on a " +
 			"group-commit fsync); log MiB / syncs = disk work during the measurement window.",
-		Cols: []string{"procs", "durability", "ops/s", "p50 us", "p99 us", "avg batch", "log MiB", "syncs"},
+		Cols: []string{"durability", "ops/s", "p50 us", "p99 us", "avg batch", "log MiB", "syncs"},
 	}
 
 	type row struct {
@@ -47,13 +46,9 @@ func E12Durability(o Options) (*Table, error) {
 		{"everysec", true, persist.SyncEverySec},
 		{"always", true, persist.SyncAlways},
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0)) // restore the ambient setting
-	for _, procs := range o.Procs {
-		runtime.GOMAXPROCS(procs)
-		for _, r := range rows {
-			if err := e12Point(t, procs, r.name, r.durable, r.policy, k, w, maxBatch, conns, workers, o); err != nil {
-				return nil, fmt.Errorf("E12 procs=%d %s: %w", procs, r.name, err)
-			}
+	for _, r := range rows {
+		if err := e12Point(t, r.name, r.durable, r.policy, k, w, maxBatch, conns, workers, o); err != nil {
+			return nil, fmt.Errorf("E12 %s: %w", r.name, err)
 		}
 	}
 	return t, nil
@@ -61,7 +56,7 @@ func E12Durability(o Options) (*Table, error) {
 
 // e12Point measures one durability configuration on a fresh server and
 // appends its row.
-func e12Point(t *Table, procs int, name string, durable bool, policy persist.Policy, k, w, maxBatch, conns, workers int, o Options) error {
+func e12Point(t *Table, name string, durable bool, policy persist.Policy, k, w, maxBatch, conns, workers int, o Options) error {
 	m, err := shard.NewMap(k, conns+2, w)
 	if err != nil {
 		return err
@@ -99,7 +94,7 @@ func e12Point(t *Table, procs int, name string, durable bool, policy persist.Pol
 		logMiB = fmt.Sprintf("%.1f", float64(ps.Bytes)/(1<<20))
 		syncs = fmt.Sprintf("%d", ps.Syncs)
 	}
-	t.AddRow(procs, name, res.OpsPerSec,
+	t.AddRow(name, res.OpsPerSec,
 		float64(res.P50.Nanoseconds())/1e3, float64(res.P99.Nanoseconds())/1e3,
 		res.AvgBatch, logMiB, syncs)
 	return nil

@@ -19,8 +19,8 @@ type OpAllocs struct {
 // HotPathAllocs reports the steady-state heap allocations per request of
 // the server's serving path — batch execute, response encode and the
 // write — for Read and for Update. These are the numbers the E13
-// allocation gate (internal/bench, cmd/llscgate) tracks across PRs, and
-// they must be zero: the per-slot responses, the recycled decode and
+// allocation gate (internal/bench, TestE13AllocsZero) holds, and they
+// must be zero: the per-slot responses, the recycled decode and
 // write buffers, the reacquirable map handle and the pre-bound merge
 // closures exist precisely so that serving a request costs no
 // allocation.

@@ -33,7 +33,7 @@ const (
 )
 
 // Metrics is the server's optional histogram set. nil (the default)
-// disables latency recording entirely — the E14 benchmark's "obs off"
+// disables latency recording entirely — the E14 benchmark's "bare"
 // arm; the counters in Server.ctrs are always on, because they replace
 // the stats fields the wire protocol has exposed since PR 3.
 type Metrics struct {

@@ -212,7 +212,7 @@ func TestHeadSampling(t *testing.T) {
 }
 
 // TestTracerOffNoSpans: with a tracer attached but sampling off and no
-// wire flags, nothing is traced — the configuration E13 and E15 price.
+// wire flags, nothing is traced — the configuration E13 and E14 price.
 func TestTracerOffNoSpans(t *testing.T) {
 	tr := trace.New(trace.Config{})
 	addr := startTracedServer(t, tr)

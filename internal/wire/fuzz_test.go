@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // The decoders take bytes straight off the network, so neither may
 // panic on any input. Their seeds run as ordinary tests under go test;
@@ -66,6 +69,43 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if uint64(len(resp.Data)) != uint64(resp.Rows)*uint64(resp.Words) {
 			t.Fatalf("decoded %d data words for %d rows of %d words", len(resp.Data), resp.Rows, resp.Words)
+		}
+	})
+}
+
+// FuzzDecodeStats: a stats row shorter than the required words is an
+// error; any longer row decodes, and Append gives back the row's first
+// words — one per field — with zeros past the row's end (the optional
+// words an older server does not send). The input's bytes are the
+// row's little-endian words; a trailing partial word is ignored.
+func FuzzDecodeStats(f *testing.F) {
+	for _, n := range []int{0, 11, 12, 13, 17, 22, 25} {
+		var b []byte
+		for i := 0; i < n; i++ {
+			b = binary.LittleEndian.AppendUint64(b, uint64(i+1)*0x0101010101010101)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		row := make([]uint64, len(data)/8)
+		for i := range row {
+			row[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		st, err := DecodeStats(row)
+		if len(row) < statsWords {
+			if err == nil {
+				t.Fatalf("decoded a %d-word row", len(row))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%d-word row: %v", len(row), err)
+		}
+		got := st.Append(nil)
+		want := make([]uint64, len(got))
+		copy(want, row)
+		if !equalWords(got, want) {
+			t.Fatalf("%d-word row %v re-encodes as %v, want %v", len(row), row, got, want)
 		}
 	})
 }
