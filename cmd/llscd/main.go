@@ -165,7 +165,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		fsyncAfter := envInt64(stderr, "LLSCD_FAULT_FSYNC_AFTER")
 		if writeAfter > 0 || fsyncAfter > 0 {
 			ff := fault.NewFiles(fault.FilesConfig{
-				Seed:                1,
 				FailWriteAfterBytes: writeAfter,
 				FailFsyncAfter:      int(fsyncAfter),
 			})

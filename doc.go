@@ -36,11 +36,11 @@
 //
 // Goroutines are cheap and unbounded; process ids are neither. A Registry
 // (NewRegistry) multiplexes any number of goroutines onto the N slots:
-// Acquire checks out an exclusive id (blocking or spinning when all are
-// taken, per WaitPolicy), Release returns it. Inside an acquired slot
-// every operation keeps the paper's per-process guarantees; the only
-// waiting is for a slot itself, which is inherent — the object has exactly
-// N identities. Releasing an id that is not checked out (double release,
+// Acquire checks out an exclusive id (parking until a Release when all
+// are taken), Release returns it. Inside an acquired slot every
+// operation keeps the paper's per-process guarantees; the only waiting
+// is for a slot itself, which is inherent — the object has exactly N
+// identities. Releasing an id that is not checked out (double release,
 // fabricated id) panics rather than silently aliasing two goroutines onto
 // one process; a stale release racing a re-acquire of the same id cannot
 // be detected, so release each id exactly once — Sharded handles enforce

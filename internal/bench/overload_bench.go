@@ -39,6 +39,9 @@ type sloResult struct {
 	withinSLO int64 // completed ops whose arrival-to-response time met the SLO
 	elapsed   float64
 	lats      []time.Duration // sorted completion latencies (bounded)
+	// genLate is the most any arrival was enqueued after its due time:
+	// how far the pacer fell behind the schedule it charges latency from.
+	genLate time.Duration
 }
 
 // netLoadOpenLoop drives addr at a fixed arrival rate (ops/sec) for
@@ -112,8 +115,10 @@ func netLoadOpenLoop(addr string, conns, w int, rate float64, outstanding int,
 			break
 		}
 		for target := int(rate * elapsed.Seconds()); issued < target; issued++ {
+			due := time.Duration(float64(issued) / rate * float64(time.Second))
 			select {
-			case tokens <- start.Add(time.Duration(float64(issued) / rate * float64(time.Second))):
+			case tokens <- start.Add(due):
+				res.genLate = max(res.genLate, elapsed-due)
 			default:
 				dropped++
 			}
@@ -225,7 +230,6 @@ func E16Overload(o Options) (*Table, error) {
 			return nil, "", nil, err
 		}
 		ff := fault.NewFiles(fault.FilesConfig{
-			Seed:             1,
 			WriteBytesPerSec: diskBytesPerSec,
 			SyncLatency:      fsyncLatency,
 		})
@@ -316,22 +320,23 @@ func E16Overload(o Options) (*Table, error) {
 			"(K=%d shards, W=%d, maxbatch=%d, fsync=always, SLO=%v, %v/arm)", k, w, maxBatch, slo, dur),
 		Note: "goodput = OK responses within the SLO per second, SLO = max(4x capacity p99, 1ms), " +
 			"latency charged from each arrival's due time (client queueing included); " +
+			"gen late = the most the pacer enqueued an arrival after its due time; " +
 			"all arms serve durably with group-commit fsync gating each ack; " +
 			fmt.Sprintf("admission on = WithMaxInflight(%d), excess batches bounced StatusBusy; ", maxInflight) +
 			"the off arm's goodput collapses toward zero by design.",
 		Cols: []string{"arm", "load", "conns", "admit",
-			"ok ops/s", "goodput", "%cap", "p50 ms", "p99 ms", "busy rejects", "errs", "drops"},
+			"ok ops/s", "goodput", "%cap", "p50 ms", "p99 ms", "busy rejects", "errs", "drops", "gen late ms"},
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	t.AddRow("capacity", "closed", capConns, "off",
 		capRes.OpsPerSec, capGoodput, 100.0,
-		ms(capRes.P50), ms(capRes.P99), uint64(0), capRes.Errs, 0)
+		ms(capRes.P50), ms(capRes.P99), uint64(0), capRes.Errs, 0, "-")
 	addOv := func(name, admit string, a armOut) {
 		goodput := float64(a.res.withinSLO) / a.res.elapsed
 		t.AddRow(name, "2x open", ovConns, admit,
 			float64(a.res.ok)/a.res.elapsed, goodput, 100*goodput/capGoodput,
 			ms(quantile(a.res.lats, 0.50)), ms(quantile(a.res.lats, 0.99)),
-			a.busy, a.res.errs, a.res.dropped)
+			a.busy, a.res.errs, a.res.dropped, ms(a.res.genLate))
 	}
 	addOv("overload", "off", off)
 	addOv("overload", fmt.Sprintf("on(%d)", maxInflight), on)

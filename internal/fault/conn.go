@@ -5,20 +5,11 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Faults configures one direction (read or write) of a wrapped
 // connection. The zero value injects nothing.
 type Faults struct {
-	// Latency is added before every Read/Write, with ±25% seeded jitter.
-	Latency time.Duration
-	// StallEvery makes every Nth operation additionally sleep StallFor —
-	// a periodic read stall or write stall, depending on the side this
-	// Faults is installed on. 0 disables.
-	StallEvery int
-	// StallFor is the duration of each injected stall.
-	StallFor time.Duration
 	// PartialEvery splits every Nth Write into two separate underlying
 	// writes at a seeded split point, so the peer observes the frame in
 	// fragments (exercising its short-read reassembly). The data still
@@ -93,16 +84,6 @@ type side struct {
 	ft  frameTracker
 }
 
-func (s *side) sleep() {
-	if d := s.f.Latency; d > 0 {
-		d += time.Duration(s.rng.next()%uint64(d/2+1)) - d/4
-		time.Sleep(d)
-	}
-	if s.f.StallEvery > 0 && s.f.StallFor > 0 && s.ops%int64(s.f.StallEvery) == 0 {
-		time.Sleep(s.f.StallFor)
-	}
-}
-
 // Conn wraps a net.Conn with independently configured read-side and
 // write-side faults. It assumes the usual one-reader/one-writer
 // discipline (concurrent Reads, or concurrent Writes, serialize on an
@@ -114,11 +95,11 @@ type Conn struct {
 	cut atomic.Bool
 }
 
-// Wrap wraps nc; seed makes every jittered choice reproducible.
+// Wrap wraps nc; seed makes every partial-write split point
+// reproducible.
 func Wrap(nc net.Conn, seed uint64, read, write Faults) *Conn {
 	c := &Conn{Conn: nc}
 	c.rd.f, c.wr.f = read, write
-	c.rd.rng = rng{s: seed}
 	c.wr.rng = rng{s: seed ^ 0xa5a5a5a5a5a5a5a5}
 	return c
 }
@@ -134,9 +115,6 @@ func (c *Conn) doCut() {
 	c.Conn.Close()
 }
 
-// Cut reports whether an injected reset has fired.
-func (c *Conn) Cut() bool { return c.cut.Load() }
-
 // Read applies read-side faults, then reads from the wrapped conn.
 func (c *Conn) Read(b []byte) (int, error) {
 	s := &c.rd
@@ -145,8 +123,6 @@ func (c *Conn) Read(b []byte) (int, error) {
 	if c.cut.Load() {
 		return 0, ErrCut
 	}
-	s.ops++
-	s.sleep()
 	if s.f.CutAfterBytes > 0 {
 		if s.n >= s.f.CutAfterBytes && (!s.f.CutAtFrame || s.ft.atBoundary()) {
 			c.doCut()
@@ -177,7 +153,6 @@ func (c *Conn) Write(b []byte) (n int, err error) {
 		return 0, ErrCut
 	}
 	s.ops++
-	s.sleep()
 	partial := s.f.PartialEvery > 0 && s.ops%int64(s.f.PartialEvery) == 0
 	for len(b) > 0 {
 		chunk := b

@@ -1,16 +1,16 @@
 // Package fault is a deterministic, seeded fault-injection harness for
-// tests: a net.Conn wrapper that adds latency, read/write stalls,
-// chunked ("partial") writes, and byte- or frame-boundary-aligned
-// connection resets; a loopback TCP proxy that applies those faults to
-// live traffic between a real client and a real server; and an
-// error-injecting file layer (short writes, fsync failures,
-// fail-after-N-bytes) that plugs into internal/persist via
-// persist.Options.OpenLog.
+// tests: a net.Conn wrapper that adds chunked ("partial") writes and
+// byte- or frame-boundary-aligned connection resets; a loopback TCP
+// proxy that applies those faults to live traffic between a real client
+// and a real server; and a file layer for internal/persist (plugged in
+// via persist.Options.OpenLog) that injects torn and refused writes and
+// fsync failures after a byte or round budget, and models a disk's
+// bandwidth and fsync latency.
 //
 // Everything is driven by explicit counters and a splitmix64 generator
 // seeded by the caller, so a failing run replays identically: the same
-// seed cuts the same connection after the same bytes and tears the same
-// write. No fault fires unless its knob is set, and the zero value of
+// seed splits the same write and cuts the same connection after the same
+// bytes. No fault fires unless its knob is set, and the zero value of
 // every config means "no faults".
 package fault
 
@@ -27,8 +27,8 @@ var ErrInjected = errors.New("fault: injected failure")
 // deliberately reset; it wraps ErrInjected.
 var ErrCut = fmt.Errorf("connection cut: %w", ErrInjected)
 
-// rng is splitmix64: tiny, seedable, and good enough to pick jitter and
-// truncation points deterministically.
+// rng is splitmix64: tiny, seedable, and good enough to pick partial-write
+// split points deterministically.
 type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 {

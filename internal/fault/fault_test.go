@@ -165,20 +165,6 @@ func TestConnPartialWriteDeterminism(t *testing.T) {
 	}
 }
 
-func TestConnReadStallAndLatency(t *testing.T) {
-	client, server := tcpPair(t)
-	fc := Wrap(server, 3, Faults{Latency: 5 * time.Millisecond}, Faults{})
-	go client.Write([]byte("hello"))
-	start := time.Now()
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(fc, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 3*time.Millisecond {
-		t.Fatalf("read returned in %v; want >=3ms injected latency", d)
-	}
-}
-
 func TestFilesTornAndRefusedWrites(t *testing.T) {
 	dir := t.TempDir()
 	ff := NewFiles(FilesConfig{FailWriteAfterBytes: 25})
@@ -209,23 +195,6 @@ func TestFilesTornAndRefusedWrites(t *testing.T) {
 	}
 	if ff.Injected() != 2 {
 		t.Fatalf("Injected() = %d, want 2", ff.Injected())
-	}
-}
-
-func TestFilesShortWrite(t *testing.T) {
-	dir := t.TempDir()
-	ff := NewFiles(FilesConfig{Seed: 7, ShortWriteEvery: 2})
-	f, err := ff.Open(filepath.Join(dir, "log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if n, err := f.Write(make([]byte, 10)); n != 10 || err != nil {
-		t.Fatalf("write 1: n=%d err=%v", n, err)
-	}
-	n, err := f.Write(make([]byte, 10))
-	if err == nil || !errors.Is(err, ErrInjected) || n >= 10 || n < 1 {
-		t.Fatalf("write 2: n=%d err=%v; want short write 1..9 wrapping ErrInjected", n, err)
 	}
 }
 

@@ -13,17 +13,13 @@ import (
 // logs together — matching how a sick disk fails the whole store, not
 // one file. The zero value injects nothing.
 type FilesConfig struct {
-	// Seed drives the short-write truncation points.
-	Seed uint64
-	// WriteLatency is added to every Write — a slow disk.
-	WriteLatency time.Duration
 	// WriteBytesPerSec throttles Writes to this many bytes per second,
 	// serialized across every file sharing the Files — a disk with
-	// bounded bandwidth. Unlike WriteLatency (a per-call seek cost, which
-	// batching amortizes), a byte-rate cost is the same per record no
-	// matter how records coalesce into writes, so it pins an operation
-	// throughput ceiling that concurrency cannot lift — what E16 uses to
-	// make overload reproducible across machines. 0 disables.
+	// bounded bandwidth. Unlike a per-call seek cost, which batching
+	// amortizes, a byte-rate cost is the same per record no matter how
+	// records coalesce into writes, so it pins an operation throughput
+	// ceiling that concurrency cannot lift — what E16 uses to make
+	// overload reproducible across machines. 0 disables.
 	WriteBytesPerSec int64
 	// SyncLatency is added to every Sync that is not failed by
 	// FailFsyncAfter — a slow disk's flush, and the knob that pins a
@@ -31,10 +27,6 @@ type FilesConfig struct {
 	// actually does (E16 uses it to make fsync-bound capacity
 	// reproducible across machines).
 	SyncLatency time.Duration
-	// ShortWriteEvery makes every Nth Write persist only a seeded prefix
-	// of its buffer and return an error wrapping ErrInjected — a torn
-	// append the recovery path must truncate. 0 disables.
-	ShortWriteEvery int
 	// FailWriteAfterBytes fails every Write once this many bytes have
 	// been written across all files; the write that crosses the
 	// threshold persists exactly up to it (a torn record at a known
@@ -54,9 +46,7 @@ type FilesConfig struct {
 type Files struct {
 	mu       sync.Mutex
 	cfg      FilesConfig
-	rng      rng
 	bytes    int64
-	writes   int64
 	syncs    int64
 	injected int64
 	diskFree time.Time // WriteBytesPerSec pacing: when the modeled disk next idles
@@ -64,7 +54,7 @@ type Files struct {
 
 // NewFiles builds the shared injection state for one store.
 func NewFiles(cfg FilesConfig) *Files {
-	return &Files{cfg: cfg, rng: rng{s: cfg.Seed}}
+	return &Files{cfg: cfg}
 }
 
 // Injected returns how many failures have been injected so far — a
@@ -96,9 +86,6 @@ func (f *File) Write(b []byte) (int, error) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.cfg.WriteLatency > 0 {
-		time.Sleep(fs.cfg.WriteLatency)
-	}
 	if r := fs.cfg.WriteBytesPerSec; r > 0 {
 		// Virtual-time pacing: advance the disk-free clock by this
 		// write's transfer time and sleep until it. Sleeping under the
@@ -116,7 +103,6 @@ func (f *File) Write(b []byte) (int, error) {
 			time.Sleep(wait)
 		}
 	}
-	fs.writes++
 	if n := fs.cfg.FailWriteAfterBytes; n > 0 {
 		if fs.bytes >= n {
 			fs.injected++
@@ -129,13 +115,6 @@ func (f *File) Write(b []byte) (int, error) {
 			fs.injected++
 			return k, fmt.Errorf("torn write at byte budget %d: %w", n, ErrInjected)
 		}
-	}
-	if e := fs.cfg.ShortWriteEvery; e > 0 && fs.writes%int64(e) == 0 && len(b) > 1 {
-		k := 1 + int(fs.rng.next()%uint64(len(b)-1))
-		k, _ = f.f.Write(b[:k])
-		fs.bytes += int64(k)
-		fs.injected++
-		return k, fmt.Errorf("short write (%d of %d bytes): %w", k, len(b), ErrInjected)
 	}
 	k, err := f.f.Write(b)
 	fs.bytes += int64(k)

@@ -18,7 +18,7 @@ import (
 func TestFaultInjectedTornWriteNoAckedLoss(t *testing.T) {
 	dir := t.TempDir()
 	m := newMap(t)
-	ff := fault.NewFiles(fault.FilesConfig{Seed: 1, FailWriteAfterBytes: 900})
+	ff := fault.NewFiles(fault.FilesConfig{FailWriteAfterBytes: 900})
 	st, _ := openStore(t, dir, m, Options{
 		OpenLog: func(path string) (LogFile, error) { return ff.Open(path) },
 	})

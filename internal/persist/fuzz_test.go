@@ -1,8 +1,11 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -70,6 +73,75 @@ func FuzzParseRecords(f *testing.F) {
 		if err != nil || n != len(re) || !reflect.DeepEqual(back, recs) {
 			t.Fatalf("re-encoded records parse to %+v, %d of %d good, %v; want %+v",
 				back, n, len(re), err, recs)
+		}
+	})
+}
+
+// FuzzReadCheckpoint: recovery trusts the checkpoint file only after
+// readCheckpoint has validated it, so readCheckpoint must never panic
+// on any file. When fixCRC is set, the harness overwrites the last 4
+// bytes with the CRC-32C of the rest, which lets the fuzzer past the
+// checksum to the decode. Whatever the bytes:
+//   - ok holds exactly when err is nil;
+//   - when ok, the result has K rows of W words, and writing those rows
+//     and watermark back reproduces the file byte for byte.
+func FuzzReadCheckpoint(f *testing.F) {
+	const k, w = 3, 2
+	dir := f.TempDir()
+	if err := writeCheckpoint(dir, k, w, [][]uint64{{1, 2}, {3, 4}, {5, 6}}, 42); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, ckptFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	edited := func(edit func(b []byte) []byte) []byte {
+		return edit(append([]byte(nil), valid...))
+	}
+	flipped := edited(func(b []byte) []byte { b[30] ^= 0x10; return b })
+	f.Add(valid, false)
+	f.Add(flipped, false)
+	f.Add(flipped, true)
+	f.Add(valid[:len(valid)-1], false)
+	f.Add(edited(func(b []byte) []byte { b[0] = 'X'; return b }), true)
+	f.Add(edited(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 2); return b }), true)
+	f.Add(edited(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 4); return b }), true)
+	f.Add([]byte{}, false)
+
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC && len(data) >= 4 {
+			data = append([]byte(nil), data...)
+			body := data[:len(data)-4]
+			binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, castagnoli))
+		}
+		path := filepath.Join(dir, ckptFile)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rows, watermark, ok, err := readCheckpoint(dir, k, w)
+		if ok != (err == nil) {
+			t.Fatalf("ok = %v with err = %v", ok, err)
+		}
+		if !ok {
+			return
+		}
+		if len(rows) != k {
+			t.Fatalf("%d rows, want %d", len(rows), k)
+		}
+		for i, row := range rows {
+			if len(row) != w {
+				t.Fatalf("row %d has %d words, want %d", i, len(row), w)
+			}
+		}
+		if err := writeCheckpoint(dir, k, w, rows, watermark); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("rewritten checkpoint differs:\n got %x\nwant %x", back, data)
 		}
 	})
 }

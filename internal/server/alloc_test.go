@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -21,6 +22,39 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 	if allocs.Read != 0 || allocs.Update != 0 {
 		t.Errorf("allocs/op: read %v, update %v, want 0 and 0", allocs.Read, allocs.Update)
+	}
+}
+
+// TestHugeMaxBatchServesWithoutPreallocating pins that a connection's
+// batch and response slots follow the batches that arrive, not the
+// WithMaxBatch cap: at 208 bytes per slot pair, preallocating a cap of
+// 1<<20 would spend 208 MiB on one connection.
+func TestHugeMaxBatchServesWithoutPreallocating(t *testing.T) {
+	m, err := shard.NewMap(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m, WithMaxBatch(1<<20))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	defer s.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl, err := client.Dial(addr.String(), client.WithConns(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Add(context.Background(), 1, []uint64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 16<<20 {
+		t.Fatalf("one connection and one Add allocated %d MiB, want under 16 MiB", d>>20)
 	}
 }
 

@@ -277,7 +277,7 @@ func TestDegradedModeReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := fault.NewFiles(fault.FilesConfig{Seed: 3, FailWriteAfterBytes: 1})
+	ff := fault.NewFiles(fault.FilesConfig{FailWriteAfterBytes: 1})
 	st, _, err := persist.Open(t.TempDir(), m, persist.Options{
 		OpenLog: func(path string) (persist.LogFile, error) { return ff.Open(path) },
 	})
@@ -340,7 +340,7 @@ func TestDegradeOffKeepsAccepting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := fault.NewFiles(fault.FilesConfig{Seed: 4, FailWriteAfterBytes: 1})
+	ff := fault.NewFiles(fault.FilesConfig{FailWriteAfterBytes: 1})
 	st, _, err := persist.Open(t.TempDir(), m, persist.Options{
 		OpenLog: func(path string) (persist.LogFile, error) { return ff.Open(path) },
 	})

@@ -425,12 +425,10 @@ func (cs *connState) nextTraceID() uint64 {
 // newConnState builds the serving state of connection c.
 func (s *Server) newConnState(c net.Conn) *connState {
 	cs := &connState{
-		s:     s,
-		c:     c,
-		batch: make([]batchReq, 0, s.maxBatch),
-		resps: make([]wire.Response, 0, s.maxBatch),
-		buf:   make([]byte, 0, writeBufCap),
-		rng:   uint64(time.Now().UnixNano()) ^ connSeed.Add(1)<<32,
+		s:   s,
+		c:   c,
+		buf: make([]byte, 0, writeBufCap),
+		rng: uint64(time.Now().UnixNano()) ^ connSeed.Add(1)<<32,
 	}
 	cs.mergeOne = func(v []uint64) {
 		wire.Merge(v, cs.args, cs.mode)
@@ -561,11 +559,13 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= 4+int(n)
 }
 
-// appendDecoded decodes frame into a new batch slot. A malformed request
-// is not batched: its StatusBadRequest answer goes straight into the
-// write buffer, ahead of the batch's own responses. For wire-flagged or
-// head-sampled requests it also draws the trace span the batch's stages
-// will stamp.
+// appendDecoded decodes frame into a new batch slot. The slots grow with
+// the batches that arrive, never to maxBatch up front: readLoop takes
+// only fully buffered frames, so a batch never outgrows what the 64 KiB
+// read buffer holds. A malformed request is not batched: its
+// StatusBadRequest answer goes straight into the write buffer, ahead of
+// the batch's own responses. For wire-flagged or head-sampled requests
+// it also draws the trace span the batch's stages will stamp.
 func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 	// Reslice over a recycled slot when possible: DecodeRequest resets
 	// every field and reuses the slot's Keys/Args backing arrays, which

@@ -49,7 +49,6 @@ type MapOption func(*mapConfig)
 
 type mapConfig struct {
 	factory mwobj.Factory
-	policy  WaitPolicy
 	initial []uint64
 }
 
@@ -57,11 +56,6 @@ type mapConfig struct {
 // algorithm on the tagged substrate).
 func WithFactory(f mwobj.Factory) MapOption {
 	return func(c *mapConfig) { c.factory = f }
-}
-
-// WithMapWaitPolicy selects the registry's exhaustion behavior.
-func WithMapWaitPolicy(p WaitPolicy) MapOption {
-	return func(c *mapConfig) { c.policy = p }
 }
 
 // WithInitial sets every shard's initial value (len must be w).
@@ -97,7 +91,7 @@ func NewMap(k, n, w int, opts ...MapOption) (*Map, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("shard: map needs w >= 1 words, got %d", w)
 	}
-	cfg := mapConfig{factory: DefaultFactory, policy: Block}
+	cfg := mapConfig{factory: DefaultFactory}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -107,7 +101,7 @@ func NewMap(k, n, w int, opts ...MapOption) (*Map, error) {
 	if len(cfg.initial) != w {
 		return nil, fmt.Errorf("shard: initial value has %d words, want %d", len(cfg.initial), w)
 	}
-	reg, err := NewRegistry(n, WithWaitPolicy(cfg.policy))
+	reg, err := NewRegistry(n)
 	if err != nil {
 		return nil, err
 	}
@@ -187,16 +181,6 @@ func (m *Map) KeyForShard(i int) uint64 { return m.repKeys[i] }
 // acquire/release round trip each call.
 func (m *Map) Acquire() *MapHandle {
 	return &MapHandle{m: m, p: m.reg.Acquire()}
-}
-
-// TryAcquire is Acquire without waiting; ok is false if all n slots are
-// checked out.
-func (m *Map) TryAcquire() (h *MapHandle, ok bool) {
-	p, ok := m.reg.TryAcquire()
-	if !ok {
-		return nil, false
-	}
-	return &MapHandle{m: m, p: p}, true
 }
 
 // Update acquires a slot, atomically applies f to the shard owning key,
@@ -360,12 +344,6 @@ func (h *MapHandle) UpdateMulti(keys []uint64, f func(vals [][]uint64)) int {
 func (h *MapHandle) Read(key uint64, dst []uint64) {
 	h.live()
 	h.m.eng.Read(h.p, h.m.ShardIndex(key), dst)
-}
-
-// ReadShard copies shard i's current value into dst.
-func (h *MapHandle) ReadShard(i int, dst []uint64) {
-	h.live()
-	h.m.eng.Read(h.p, i, dst)
 }
 
 // Snapshot reads every shard into dst (K rows of W words). Every row is an

@@ -307,13 +307,13 @@ func TestMapConcurrentCounters(t *testing.T) {
 }
 
 // TestMapHandlePinned exercises the long-lived-handle path: one handle per
-// goroutine, many updates each, with spin policy.
+// goroutine, many updates each.
 func TestMapHandlePinned(t *testing.T) {
 	const (
 		goroutines = 8
 		perG       = 1000
 	)
-	m, err := NewMap(8, goroutines, 2, WithMapWaitPolicy(Spin))
+	m, err := NewMap(8, goroutines, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestMapHandlePinned(t *testing.T) {
 	var got0, got1 uint64
 	v := make([]uint64, 2)
 	for i := 0; i < m.Shards(); i++ {
-		h.ReadShard(i, v)
+		h.Read(m.KeyForShard(i), v)
 		got0 += v[0]
 		got1 += v[1]
 	}

@@ -24,7 +24,6 @@ func TestMapHandleUseAfterReleasePanics(t *testing.T) {
 		{"Update", func(h *MapHandle) { h.Update(1, func(v []uint64) { v[0]++ }) }},
 		{"UpdateMulti", func(h *MapHandle) { h.UpdateMulti([]uint64{1, 2}, func(vals [][]uint64) {}) }},
 		{"Read", func(h *MapHandle) { h.Read(1, dst) }},
-		{"ReadShard", func(h *MapHandle) { h.ReadShard(0, dst) }},
 		{"Snapshot", func(h *MapHandle) { h.Snapshot(snap) }},
 		{"SnapshotAtomic", func(h *MapHandle) { h.SnapshotAtomic(snap) }},
 	}
@@ -57,119 +56,66 @@ func TestMapHandleDoubleReleaseDoesNotFreeSlot(t *testing.T) {
 		defer func() { recover() }()
 		h.Release()
 	}()
-	// The slot must have been freed exactly once: one TryAcquire
-	// succeeds, a second fails.
-	if _, ok := m.TryAcquire(); !ok {
-		t.Fatal("slot lost after double-release panic")
-	}
-	if _, ok := m.TryAcquire(); ok {
-		t.Fatal("double release freed the slot twice")
+	// The slot must have been freed exactly once.
+	if got := m.Registry().InUse(); got != 0 {
+		t.Fatalf("InUse() = %d after double-release panic, want 0", got)
 	}
 }
 
 // TestMapAcquireStorm oversubscribes a small map's registry from many
-// goroutines under both wait policies, with every goroutine doing real
-// per-key and cross-shard work between Acquire and Release. The final
-// counter total checks that no operation was lost or doubled — the
-// symptom aliased ids would produce.
+// goroutines, with every goroutine doing real per-key and cross-shard
+// work between Acquire and Release. The final counter total checks that
+// no operation was lost or doubled — the symptom aliased ids would
+// produce.
 func TestMapAcquireStorm(t *testing.T) {
-	for _, policy := range []WaitPolicy{Block, Spin} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				slots      = 3
-				goroutines = 16
-				iters      = 100
-			)
-			m, err := NewMap(4, slots, 1, WithMapWaitPolicy(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						h := m.Acquire()
-						if i%8 == 0 {
-							h.UpdateMulti([]uint64{uint64(g), uint64(g + 1)}, func(vals [][]uint64) {
-								for _, v := range vals {
-									v[0]++
-								}
-							})
-						} else {
-							h.Update(uint64(g*iters+i), func(v []uint64) { v[0]++ })
-						}
-						h.Release()
+	t.Run("block", func(t *testing.T) {
+		const (
+			slots      = 3
+			goroutines = 16
+			iters      = 100
+		)
+		m, err := NewMap(4, slots, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					h := m.Acquire()
+					if i%8 == 0 {
+						h.UpdateMulti([]uint64{uint64(g), uint64(g + 1)}, func(vals [][]uint64) {
+							for _, v := range vals {
+								v[0]++
+							}
+						})
+					} else {
+						h.Update(uint64(g*iters+i), func(v []uint64) { v[0]++ })
 					}
-				}(g)
-			}
-			wg.Wait()
-			if got := m.Registry().InUse(); got != 0 {
-				t.Fatalf("%d slots still in use after storm", got)
-			}
-			snap := m.NewSnapshotBuffer()
-			m.SnapshotAtomic(snap)
-			var total uint64
-			for _, row := range snap {
-				total += row[0]
-			}
-			// Each goroutine: iters/8 rounded up multi ops counting 2, the
-			// rest counting 1.
-			multis := (iters + 7) / 8
-			want := uint64(goroutines * (2*multis + (iters - multis)))
-			if total != want {
-				t.Fatalf("counter total %d, want %d (lost or doubled updates)", total, want)
-			}
-		})
-	}
-}
-
-// TestTryAcquireStorm hammers TryAcquire concurrently with blocking
-// acquirers; every successful TryAcquire must hold an exclusive id.
-func TestTryAcquireStorm(t *testing.T) {
-	const (
-		slots      = 2
-		goroutines = 12
-		iters      = 300
-	)
-	r, err := NewRegistry(slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := make([]int32, slots)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				p, ok := r.TryAcquire()
-				if !ok {
-					continue
+					h.Release()
 				}
-				mu.Lock()
-				if owner[p] != 0 {
-					mu.Unlock()
-					t.Errorf("id %d try-acquired by %d while held by %d", p, g, owner[p]-1)
-					r.Release(p)
-					return
-				}
-				owner[p] = int32(g) + 1
-				mu.Unlock()
-
-				mu.Lock()
-				owner[p] = 0
-				mu.Unlock()
-				r.Release(p)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := r.InUse(); got != 0 {
-		t.Fatalf("InUse() = %d after storm, want 0", got)
-	}
+			}(g)
+		}
+		wg.Wait()
+		if got := m.Registry().InUse(); got != 0 {
+			t.Fatalf("%d slots still in use after storm", got)
+		}
+		snap := m.NewSnapshotBuffer()
+		m.SnapshotAtomic(snap)
+		var total uint64
+		for _, row := range snap {
+			total += row[0]
+		}
+		// Each goroutine: iters/8 rounded up multi ops counting 2, the
+		// rest counting 1.
+		multis := (iters + 7) / 8
+		want := uint64(goroutines * (2*multis + (iters - multis)))
+		if total != want {
+			t.Fatalf("counter total %d, want %d (lost or doubled updates)", total, want)
+		}
+	})
 }
 
 func TestMapHandleReacquire(t *testing.T) {

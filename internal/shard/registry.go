@@ -12,35 +12,9 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"unsafe"
 )
-
-// WaitPolicy selects how Registry.Acquire behaves when all process slots
-// are checked out.
-type WaitPolicy int
-
-const (
-	// Block parks the acquiring goroutine until a slot is released
-	// (channel-based; the runtime wakes it). The default.
-	Block WaitPolicy = iota
-	// Spin retries with runtime.Gosched between attempts. Lower latency
-	// when slots turn over quickly; burns CPU when they do not.
-	Spin
-)
-
-// String returns the policy name.
-func (p WaitPolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case Spin:
-		return "spin"
-	default:
-		return fmt.Sprintf("WaitPolicy(%d)", int(p))
-	}
-}
 
 // slot is the per-process-id ownership flag, padded to its own cache line
 // so concurrent acquire/release traffic on neighboring ids does not false
@@ -61,36 +35,23 @@ type slot struct {
 // — the object only has N identities). Within an acquired slot, every
 // LL/SC/VL retains the paper's guarantees.
 type Registry struct {
-	n      int
-	policy WaitPolicy
-	free   chan int
-	slots  []slot
+	n     int
+	free  chan int
+	slots []slot
 
 	acquires atomic.Int64
 	waited   atomic.Int64
 }
 
-// RegistryOption configures NewRegistry.
-type RegistryOption func(*Registry)
-
-// WithWaitPolicy selects the exhaustion behavior (default Block).
-func WithWaitPolicy(p WaitPolicy) RegistryOption {
-	return func(r *Registry) { r.policy = p }
-}
-
 // NewRegistry creates a registry over process ids [0, n).
-func NewRegistry(n int, opts ...RegistryOption) (*Registry, error) {
+func NewRegistry(n int) (*Registry, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: registry needs n >= 1 slots, got %d", n)
 	}
 	r := &Registry{
-		n:      n,
-		policy: Block,
-		free:   make(chan int, n),
-		slots:  make([]slot, n),
-	}
-	for _, opt := range opts {
-		opt(r)
+		n:     n,
+		free:  make(chan int, n),
+		slots: make([]slot, n),
 	}
 	for p := 0; p < n; p++ {
 		r.free <- p
@@ -101,12 +62,9 @@ func NewRegistry(n int, opts ...RegistryOption) (*Registry, error) {
 // N returns the number of process slots.
 func (r *Registry) N() int { return r.n }
 
-// Policy returns the configured exhaustion behavior.
-func (r *Registry) Policy() WaitPolicy { return r.policy }
-
-// Acquire checks out an exclusive process id, waiting (per the configured
-// WaitPolicy) if all n are in use. The id must be returned with Release
-// and must be driven by only the acquiring goroutine in between.
+// Acquire checks out an exclusive process id, parking the goroutine until
+// a Release if all n are in use. The id must be returned with Release and
+// must be driven by only the acquiring goroutine in between.
 func (r *Registry) Acquire() int {
 	r.acquires.Add(1)
 	var p int
@@ -114,44 +72,16 @@ func (r *Registry) Acquire() int {
 	case p = <-r.free:
 	default:
 		r.waited.Add(1)
-		if r.policy == Spin {
-			for {
-				select {
-				case p = <-r.free:
-					r.claim(p)
-					return p
-				default:
-					runtime.Gosched()
-				}
-			}
-		}
 		p = <-r.free
 	}
-	r.claim(p)
-	return p
-}
-
-// TryAcquire checks out a process id without waiting; ok is false if all
-// slots are in use.
-func (r *Registry) TryAcquire() (p int, ok bool) {
-	select {
-	case p = <-r.free:
-		r.acquires.Add(1)
-		r.claim(p)
-		return p, true
-	default:
-		return 0, false
-	}
-}
-
-func (r *Registry) claim(p int) {
 	if !r.slots[p].inUse.CompareAndSwap(false, true) {
 		panic(fmt.Sprintf("shard: registry handed out process id %d twice", p))
 	}
+	return p
 }
 
-// Release returns a process id obtained from Acquire/TryAcquire to the
-// pool. Releasing an id that is not currently checked out panics — that is
+// Release returns a process id obtained from Acquire to the pool.
+// Releasing an id that is not currently checked out panics — that is
 // always a caller bug (double release or a fabricated id) and silently
 // accepting it would let two goroutines share one process identity. The
 // check is best-effort: a stale double-release that lands after another
@@ -173,7 +103,7 @@ func (r *Registry) InUse() int { return r.n - len(r.free) }
 
 // RegistryStats is a point-in-time snapshot of registry counters.
 type RegistryStats struct {
-	// Acquires counts Acquire calls (TryAcquire counts only successes).
+	// Acquires counts Acquire calls.
 	Acquires int64
 	// Waited counts Acquire calls that found no free slot and had to
 	// wait; Waited/Acquires approximates slot pressure.

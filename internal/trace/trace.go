@@ -225,6 +225,10 @@ func (sl *ringSlot) load(w *[spanWords]uint64) (ok bool) {
 	return sl.seq.Load() == s1
 }
 
+// slowWindow bounds how long a span defends its slowest-N slot: /slowz
+// shows the slowest of the recent past, not of all time.
+const slowWindow = time.Minute
+
 // slowEntry is one slot of the slowest-N window.
 type slowEntry struct {
 	words [spanWords]uint64
@@ -248,10 +252,6 @@ type Config struct {
 	Recent int
 	// SlowN is the slowest-N window capacity (default 64).
 	SlowN int
-	// Window bounds how long a span defends its slowest-N slot
-	// (default 60s): /slowz shows the slowest of the recent past, not
-	// of all time.
-	Window time.Duration
 	// MaxLive bounds concurrently live spans — the free list size
 	// (default 4×Recent). When the list runs dry new traces are
 	// dropped (counted), never allocated: tracing may lose spans under
@@ -267,7 +267,6 @@ type Config struct {
 type Tracer struct {
 	sampleN uint64
 	slowNS  uint64
-	window  time.Duration
 	logf    func(format string, args ...any)
 
 	free chan *Span
@@ -297,16 +296,12 @@ func New(cfg Config) *Tracer {
 	if cfg.SlowN <= 0 {
 		cfg.SlowN = 64
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
 	if cfg.MaxLive <= 0 {
 		cfg.MaxLive = 4 * cfg.Recent
 	}
 	t := &Tracer{
 		sampleN: cfg.SampleN,
 		slowNS:  uint64(cfg.SlowThreshold),
-		window:  cfg.Window,
 		logf:    cfg.Logf,
 		free:    make(chan *Span, cfg.MaxLive),
 		recent:  make([]ringSlot, cfg.Recent),
@@ -389,7 +384,7 @@ func (t *Tracer) offerSlow(w *[spanWords]uint64, total uint64, now time.Time) {
 	var victimTotal uint64 = ^uint64(0)
 	for i := range t.slow {
 		e := &t.slow[i]
-		if !e.live || now.Sub(e.seen) > t.window {
+		if !e.live || now.Sub(e.seen) > slowWindow {
 			victim, victimTotal = i, 0
 			break
 		}
@@ -405,7 +400,7 @@ func (t *Tracer) offerSlow(w *[spanWords]uint64, total uint64, now time.Time) {
 	full := true
 	for i := range t.slow {
 		e := &t.slow[i]
-		if !e.live || now.Sub(e.seen) > t.window {
+		if !e.live || now.Sub(e.seen) > slowWindow {
 			full = false
 			continue
 		}
@@ -449,7 +444,7 @@ func (t *Tracer) Slow(dst []Span) []Span {
 	entries := make([]slowEntry, 0, len(t.slow))
 	for i := range t.slow {
 		e := t.slow[i]
-		if e.live && now.Sub(e.seen) <= t.window {
+		if e.live && now.Sub(e.seen) <= slowWindow {
 			entries = append(entries, e)
 		}
 	}
