@@ -173,14 +173,15 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 				writeAfter, fsyncAfter)
 		}
 		var rec persist.Recovery
+		t0 := time.Now()
 		st, rec, err = persist.Open(*dir, m, popts)
 		if err != nil {
 			fmt.Fprintf(stderr, "llscd: %v\n", err)
 			return 1
 		}
 		defer st.Close()
-		fmt.Fprintf(stdout, "llscd: recovered %s: checkpoint=%v replayed=%d skipped=%d repaired=%d segments=%d next-seq=%d\n",
-			*dir, rec.Checkpoint, rec.Replayed, rec.Skipped, rec.Repaired, rec.Segments, rec.NextSeq)
+		fmt.Fprintf(stdout, "llscd: recovered %s: checkpoint=%v replayed=%d skipped=%d repaired=%d segments=%d next-seq=%d in %v\n",
+			*dir, rec.Checkpoint, rec.Replayed, rec.Skipped, rec.Repaired, rec.Segments, rec.NextSeq, time.Since(t0).Round(time.Microsecond))
 		opts = append(opts, server.WithPersist(st))
 	}
 	s := server.New(m, opts...)

@@ -28,8 +28,10 @@
 // record, and on one shard it happens strictly between that update's
 // link and its successful store-conditional. Two committed updates on
 // the same shard therefore carry sequence numbers in their commit
-// order, whatever order their records land in the files, and recovery
-// sorts by Seq before replaying. The cost on the hot path is one atomic
+// order, whatever order their records land in the files. Recovery needs
+// no other order: each shard is its own LL/SC object, and
+// linearizability is local, so applying every shard's merges in Seq
+// order reproduces the map. The cost on the hot path is one atomic
 // counter increment per merge attempt; the LL/SC protocol itself is
 // untouched.
 //
@@ -55,9 +57,14 @@
 // Open loads the checkpoint if present (validating magic, version,
 // geometry and CRC), reads every shard-*.log segment, truncates each at
 // the first framing or CRC failure (a torn tail from a crash mid-append,
-// repaired Redis-AOF-style), sorts the surviving records by Seq, drops
-// those at or below the watermark, and replays the rest through the
-// map's own Update/UpdateMulti. The sequence counter resumes above
+// repaired Redis-AOF-style), and drops records at or below the
+// watermark. It folds the rest per shard: every record becomes one
+// entry per target key on that key's shard (a multi-key record's keys
+// in key order, as UpdateMulti applies them), a shard's entries are
+// sorted by Seq only when they arrived out of order, and wire.Merge
+// folds them into that shard's row, which starts from the checkpoint
+// or, without one, from the fresh map's own value. Each row is then
+// installed with one Update. The sequence counter resumes above
 // everything seen, and appends continue into a fresh segment
 // generation.
 //
@@ -209,49 +216,48 @@ func appendRecord(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// parseRecords decodes the records of one segment. It returns the
-// records that parse cleanly and the byte offset of the first framing or
-// CRC failure (== len(data) when the whole segment is clean); everything
-// from that offset on is a torn or corrupt tail the caller truncates.
-// A record that passes its CRC but does not match the map's geometry is
-// not corruption — it means the operator changed -words — and is
-// returned as an error instead of being silently dropped.
-func parseRecords(data []byte, w int) (recs []Record, goodLen int, err error) {
+// scanRecords walks the records of one segment, calling fn with each
+// record that parses cleanly, decoded into one wire.Request reused
+// across calls (the id field carries Seq; fn must copy what it keeps).
+// It returns the byte offset of the first framing or CRC failure
+// (== len(data) when the whole segment is clean); everything from that
+// offset on is a torn or corrupt tail the caller truncates. A record
+// that passes its CRC but does not match the map's geometry is not
+// corruption — it means the operator changed -words — and is returned
+// as an error instead of being silently dropped.
+func scanRecords(data []byte, w int, fn func(req *wire.Request)) (goodLen int, err error) {
+	var req wire.Request
 	off := 0
 	for {
 		if len(data)-off < recHeader {
-			return recs, off, nil // clean end, or a torn header
+			return off, nil // clean end, or a torn header
 		}
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		crc := binary.LittleEndian.Uint32(data[off+4:])
 		if n < 9 || n > wire.MaxFrame || len(data)-off-recHeader < n {
-			return recs, off, nil // impossible length or torn payload
+			return off, nil // impossible length or torn payload
 		}
 		payload := data[off+recHeader : off+recHeader+n]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return recs, off, nil // corrupt payload
+			return off, nil // corrupt payload
 		}
-		var req wire.Request
 		if err := wire.DecodeRequest(&req, payload); err != nil {
-			return recs, off, nil // CRC-valid but undecodable: treat as corruption
+			return off, nil // CRC-valid but undecodable: treat as corruption
 		}
-		rec := Record{Seq: req.ID, Op: req.Op, Mode: req.Mode, Key: req.Key}
 		switch req.Op {
 		case wire.OpUpdate:
 			if len(req.Args) != w {
-				return recs, off, fmt.Errorf("persist: log record has %d-word args, map width is %d (geometry changed?)", len(req.Args), w)
+				return off, fmt.Errorf("persist: log record has %d-word args, map width is %d (geometry changed?)", len(req.Args), w)
 			}
 		case wire.OpUpdateMulti:
 			if len(req.Args) != len(req.Keys)*w {
-				return recs, off, fmt.Errorf("persist: multi log record has %d keys × %d-word args, map width is %d (geometry changed?)",
+				return off, fmt.Errorf("persist: multi log record has %d keys × %d-word args, map width is %d (geometry changed?)",
 					len(req.Keys), len(req.Args)/max(1, len(req.Keys)), w)
 			}
-			rec.Keys = append([]uint64(nil), req.Keys...)
 		default:
-			return recs, off, nil // not an update record: treat as corruption
+			return off, nil // not an update record: treat as corruption
 		}
-		rec.Args = append([]uint64(nil), req.Args...)
-		recs = append(recs, rec)
+		fn(&req)
 		off += recHeader + n
 	}
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -494,8 +496,7 @@ const (
 	ckptFile    = "checkpoint"
 )
 
-// writeCheckpoint durably replaces dir's checkpoint file: build, write
-// to a temp file, fsync, rename into place, fsync the directory.
+// writeCheckpoint durably replaces dir's checkpoint file.
 func writeCheckpoint(dir string, k, w int, rows [][]uint64, watermark uint64) error {
 	buf := make([]byte, 0, 28+k*w*8+4)
 	buf = append(buf, ckptMagic...)
@@ -512,27 +513,7 @@ func writeCheckpoint(dir string, k, w int, rows [][]uint64, watermark uint64) er
 		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
-	tmp := filepath.Join(dir, ckptFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: writing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ckptFile)); err != nil {
-		return fmt.Errorf("persist: installing checkpoint: %w", err)
-	}
-	return syncDir(dir)
+	return writeFileDurable(dir, ckptFile, buf)
 }
 
 // readCheckpoint loads and validates dir's checkpoint. ok is false when
@@ -577,35 +558,59 @@ func readCheckpoint(dir string, k, w int) (rows [][]uint64, watermark uint64, ok
 	return rows, watermark, true, nil
 }
 
-// recoverInto loads the checkpoint and replays the logs into m,
-// repairing torn tails in place. It returns the recovery summary, the
-// highest segment generation seen, and the highest sequence number seen.
+// recoverInto loads the checkpoint and folds the logs into m per shard
+// (see the package comment), repairing torn tails in place. It returns
+// the recovery summary, the highest segment generation seen, and the
+// highest sequence number seen.
 func recoverInto(dir string, m *shard.Map) (Recovery, uint64, uint64, error) {
 	k, w := m.Shards(), m.W()
 	var rec Recovery
+	h := m.Acquire()
+	defer h.Release()
 
 	rows, watermark, haveCkpt, err := readCheckpoint(dir, k, w)
 	if err != nil {
 		return rec, 0, 0, err
 	}
 	rec.Checkpoint, rec.Watermark = haveCkpt, watermark
+	if !haveCkpt {
+		rows = m.NewSnapshotBuffer()
+		h.Snapshot(rows)
+	}
 
 	segs, err := listSegments(dir)
 	if err != nil {
 		return rec, 0, 0, err
 	}
-	var maxGen, maxSeq uint64
-	maxSeq = watermark
-	var all []Record
+	folds := make([]shardFold, k)
+	var maxGen uint64
+	maxSeq := watermark
 	for _, sg := range segs {
-		if sg.gen > maxGen {
-			maxGen = sg.gen
-		}
+		maxGen = max(maxGen, sg.gen)
 		data, err := os.ReadFile(sg.path)
 		if err != nil {
 			return rec, 0, 0, fmt.Errorf("persist: %w", err)
 		}
-		recs, good, err := parseRecords(data, w)
+		if sg.shard < k {
+			// A segment holds mostly its own shard's single-key records,
+			// the smallest kind at 26+8·W bytes: size the fold for them.
+			folds[sg.shard].grow(len(data)/(26+8*w), w)
+		}
+		good, err := scanRecords(data, w, func(req *wire.Request) {
+			maxSeq = max(maxSeq, req.ID)
+			if req.ID <= watermark {
+				rec.Skipped++
+				return
+			}
+			rec.Replayed++
+			if req.Op == wire.OpUpdate {
+				folds[m.ShardIndex(req.Key)].add(req.ID, req.Mode, req.Args)
+				return
+			}
+			for j, key := range req.Keys {
+				folds[m.ShardIndex(key)].add(req.ID, req.Mode, req.Args[j*w:(j+1)*w])
+			}
+		})
 		if err != nil {
 			return rec, 0, 0, fmt.Errorf("%w (%s)", err, sg.path)
 		}
@@ -615,45 +620,56 @@ func recoverInto(dir string, m *shard.Map) (Recovery, uint64, uint64, error) {
 			}
 			rec.Repaired++
 		}
-		all = append(all, recs...)
 		rec.Segments++
 	}
-	// Same-shard commit order is Seq order (see the package comment);
-	// a global Seq sort therefore replays every shard correctly.
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 
-	h := m.Acquire()
-	defer h.Release()
-	if haveCkpt {
-		for i, row := range rows {
-			row := row
-			h.Update(m.KeyForShard(i), func(v []uint64) { copy(v, row) })
-		}
-	}
-	for i := range all {
-		r := &all[i]
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
-		}
-		if r.Seq <= watermark {
-			rec.Skipped++
-			continue
-		}
-		switch r.Op {
-		case wire.OpUpdate:
-			args, mode := r.Args, r.Mode
-			h.Update(r.Key, func(v []uint64) { wire.Merge(v, args, mode) })
-		case wire.OpUpdateMulti:
-			args, mode := r.Args, r.Mode
-			h.UpdateMulti(r.Keys, func(vals [][]uint64) {
-				for j, v := range vals {
-					wire.Merge(v, args[j*w:(j+1)*w], mode)
-				}
-			})
-		}
-		rec.Replayed++
+	for i := range folds {
+		row := rows[i]
+		folds[i].apply(row, w)
+		h.Update(m.KeyForShard(i), func(v []uint64) { copy(v, row) })
 	}
 	return rec, maxGen, maxSeq, nil
+}
+
+// shardFold collects one shard's merges during recovery: an entry per
+// merge, with its W argument words in args.
+type shardFold struct {
+	entries []foldEntry
+	args    []uint64
+}
+
+// foldEntry is one merge bound for a shard's row. off locates its
+// arguments in the shard's args and grows with arrival order.
+type foldEntry struct {
+	seq  uint64
+	off  int
+	mode wire.Mode
+}
+
+func (f *shardFold) grow(n, w int) {
+	f.entries = slices.Grow(f.entries, n)
+	f.args = slices.Grow(f.args, n*w)
+}
+
+func (f *shardFold) add(seq uint64, mode wire.Mode, args []uint64) {
+	f.entries = append(f.entries, foldEntry{seq: seq, off: len(f.args), mode: mode})
+	f.args = append(f.args, args...)
+}
+
+// apply merges the shard's entries into row in commit order. Records
+// reach the files out of Seq order under concurrent connections, and a
+// multi-key record sits in its lowest shard's file, so the entries are
+// sorted when they arrived out of order. Equal Seqs are one multi-key
+// record's keys on this shard; they alias one row and merge in key
+// order, which is their arrival order.
+func (f *shardFold) apply(row []uint64, w int) {
+	byCommit := func(a, b foldEntry) int { return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.off, b.off)) }
+	if !slices.IsSortedFunc(f.entries, byCommit) {
+		slices.SortFunc(f.entries, byCommit)
+	}
+	for _, e := range f.entries {
+		wire.Merge(row, f.args[e.off:e.off+w], e.mode)
+	}
 }
 
 // metaFile pins the directory to one map geometry so a daemon restarted
@@ -666,15 +682,7 @@ func checkMeta(dir string, k, w int) error {
 	path := filepath.Join(dir, metaFile)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		tmp := path + ".tmp"
-		body := fmt.Sprintf("mwllsc persist v1\nk=%d\nw=%d\n", k, w)
-		if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-		return syncDir(dir)
+		return writeFileDurable(dir, metaFile, fmt.Appendf(nil, "mwllsc persist v1\nk=%d\nw=%d\n", k, w))
 	}
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -687,6 +695,33 @@ func checkMeta(dir string, k, w int) error {
 		return fmt.Errorf("persist: %s was created for K=%d W=%d, map is K=%d W=%d", dir, mk, mw, k, w)
 	}
 	return nil
+}
+
+// writeFileDurable replaces dir/name with data so that a crash leaves
+// the old file or the whole new one, never an empty or partial one:
+// write a temp file, fsync it, rename it into place, fsync the
+// directory.
+func writeFileDurable(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: writing %s: %w", name, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: syncing %s: %w", name, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("persist: installing %s: %w", name, err)
+	}
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames and creates within it are
