@@ -94,16 +94,24 @@ func TestAdminPlane(t *testing.T) {
 	if _, err := c.Read(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Snapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddMulti(ctx, []uint64{1, 2}, [][]uint64{{1, 0}, {1, 0}}); err != nil {
+		t.Fatal(err)
+	}
 
 	code, body := httpGet(t, base+"/healthz")
 	if code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz: code=%d body=%q", code, body)
 	}
 
-	// The wire Stats snapshot and the Prometheus totals must agree:
-	// both fold the same striped banks. The Stats request itself is
-	// counted before it executes, so its own request is in Reqs; no
-	// wire traffic follows it, so /metrics sees the identical totals.
+	// The wire Stats snapshot and the Prometheus totals must agree on
+	// every word they share (the 15 striped counters and the three
+	// geometry gauges): both fold the same striped banks. The Stats
+	// request itself is counted before it executes, so its own request
+	// is in Reqs; no wire traffic follows it, so /metrics sees the
+	// identical totals.
 	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +121,24 @@ func TestAdminPlane(t *testing.T) {
 		t.Fatalf("/metrics: code=%d", code)
 	}
 	for name, want := range map[string]uint64{
-		"llscd_requests_total":     st.Reqs,
-		"llscd_updates_total":      st.Updates,
-		"llscd_reads_total":        st.Reads,
-		"llscd_bad_requests_total": st.BadReqs,
-		"llscd_shards":             st.Shards,
+		"llscd_connections_total":      st.ConnsTotal,
+		"llscd_connections_open":       st.ConnsOpen,
+		"llscd_requests_total":         st.Reqs,
+		"llscd_updates_total":          st.Updates,
+		"llscd_reads_total":            st.Reads,
+		"llscd_snapshots_total":        st.Snapshots,
+		"llscd_multis_total":           st.Multis,
+		"llscd_batches_total":          st.Batches,
+		"llscd_bad_requests_total":     st.BadReqs,
+		"llscd_persist_errors_total":   st.PersistErrs,
+		"llscd_conns_shed_total":       st.ShedConns,
+		"llscd_busy_rejects_total":     st.BusyRejects,
+		"llscd_evictions_total":        st.Evictions,
+		"llscd_idle_closes_total":      st.IdleCloses,
+		"llscd_degraded_rejects_total": st.DegradedRejects,
+		"llscd_shards":                 st.Shards,
+		"llscd_slots":                  st.Slots,
+		"llscd_words":                  st.Words,
 	} {
 		if got := metricValue(t, body, name); got != want {
 			t.Errorf("%s = %d, want %d (the Stats wire snapshot)", name, got, want)

@@ -66,6 +66,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -167,7 +168,8 @@ var errNotSent = errors.New("request not sent")
 // response carried. A Trace must not be shared across concurrent calls.
 type Trace struct {
 	// ID is the trace id the request carries on the wire. Zero asks the
-	// client to generate one (filled in before the request is sent).
+	// client to generate one with trace.NewID (filled in before the
+	// request is sent).
 	ID uint64
 	// QueueWait runs from the call handing its request to the
 	// connection (including any wait for room in the connection's write
@@ -197,17 +199,6 @@ type traceKey struct{}
 // call completes. The caller owns t; reuse it only sequentially.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
-}
-
-// traceSeed feeds generated trace ids (splitmix64 over a shared
-// counter: unique process-wide, no coordination with the server).
-var traceSeed atomic.Uint64
-
-func nextTraceID() uint64 {
-	z := traceSeed.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Client is a pooled, self-healing connection to one llscd server.
@@ -689,7 +680,7 @@ func (cn *conn) do(ctx context.Context, req *wire.Request) (*wire.Response, erro
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
 	if tr != nil {
 		if tr.ID == 0 {
-			tr.ID = nextTraceID()
+			tr.ID = trace.NewID()
 		}
 		req.Traced, req.TraceID = true, tr.ID
 	}

@@ -57,14 +57,15 @@
 // Open loads the checkpoint if present (validating magic, version,
 // geometry and CRC), reads every shard-*.log segment, truncates each at
 // the first framing or CRC failure (a torn tail from a crash mid-append,
-// repaired Redis-AOF-style), and drops records at or below the
-// watermark. It folds the rest per shard: every record becomes one
-// entry per target key on that key's shard (a multi-key record's keys
-// in key order, as UpdateMulti applies them), a shard's entries are
-// sorted by Seq only when they arrived out of order, and wire.Merge
-// folds them into that shard's row, which starts from the checkpoint
-// or, without one, from the fresh map's own value. Each row is then
-// installed with one Update. The sequence counter resumes above
+// repaired Redis-AOF-style), removes a segment left with no records
+// (so restarts without writes do not pile up segment files), and drops
+// records at or below the watermark. It folds the rest per shard:
+// every record becomes one entry per target key on that key's shard (a
+// multi-key record's keys in key order, as UpdateMulti applies them), a
+// shard's entries are sorted by Seq only when they arrived out of order,
+// and wire.Merge folds them into that shard's row, which starts from the
+// checkpoint or, without one, from the fresh map's own value. Each row
+// is then installed with one Update. The sequence counter resumes above
 // everything seen, and appends continue into a fresh segment
 // generation.
 //
@@ -84,7 +85,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"time"
 
 	"mwllsc/internal/wire"
 )
@@ -98,9 +98,9 @@ const (
 	// everything since the last checkpoint; a process crash loses
 	// nothing (the writes are already in the kernel).
 	SyncNone Policy = iota
-	// SyncEverySec fsyncs dirty logs about once per second from a
-	// background goroutine. A machine crash loses at most the last
-	// interval of acknowledged writes.
+	// SyncEverySec fsyncs dirty logs once per second from a background
+	// goroutine. A machine crash loses at most the last second of
+	// acknowledged writes.
 	SyncEverySec
 	// SyncAlways fsyncs before a write is acknowledged: the server
 	// holds a batch's responses until a group-commit round covers its
@@ -149,9 +149,6 @@ type LogFile interface {
 type Options struct {
 	// Policy is the fsync policy (default SyncNone).
 	Policy Policy
-	// Interval overrides SyncEverySec's period (default 1s); tests use
-	// short intervals.
-	Interval time.Duration
 	// OpenLog opens a log segment file for appending (default:
 	// os.OpenFile with O_CREATE|O_WRONLY|O_APPEND). It exists so tests
 	// can inject disk faults (internal/fault.Files) under the store's
@@ -161,9 +158,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
 	if o.OpenLog == nil {
 		o.OpenLog = func(path string) (LogFile, error) {
 			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -332,6 +332,25 @@ func TestCheckpointWithNoLogFiles(t *testing.T) {
 	}
 }
 
+// TestReopenRemovesEmptySegments pins that restarts do not pile up
+// segment files: each Open creates K new ones, and recovery removes the
+// empty ones the previous Open left, so a directory that takes no
+// appends holds exactly K segment files after any number of cycles.
+func TestReopenRemovesEmptySegments(t *testing.T) {
+	dir := t.TempDir()
+	for cycle := 1; cycle <= 5; cycle++ {
+		_, st, _ := reopen(t, dir, Options{})
+		st.Close()
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) != tK {
+			t.Fatalf("after %d Open/Close cycles: %d segment files, want %d", cycle, len(segs), tK)
+		}
+	}
+}
+
 func TestWatermarkFiltersAlreadyCheckpointedRecords(t *testing.T) {
 	// Fabricate the crash window the watermark exists for: a checkpoint
 	// at S=2 plus a log still holding records below and above S.
@@ -477,7 +496,7 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 func TestEverySecSyncsInBackground(t *testing.T) {
 	dir := t.TempDir()
 	m := newMap(t)
-	st, _ := openStore(t, dir, m, Options{Policy: SyncEverySec, Interval: 5 * time.Millisecond})
+	st, _ := openStore(t, dir, m, Options{Policy: SyncEverySec})
 	defer st.Close()
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(0), []uint64{1, 1})
 	deadline := time.Now().Add(5 * time.Second)

@@ -29,10 +29,9 @@ var ErrClosed = errors.New("persist: store closed")
 // group-commit syncer. Append, Sync and NextSeq are safe for concurrent
 // use; Checkpoint serializes with itself.
 type Store struct {
-	dir      string
-	k, w     int
-	policy   Policy
-	interval time.Duration
+	dir    string
+	k, w   int
+	policy Policy
 
 	seq  atomic.Uint64
 	logs []*shardLog
@@ -121,7 +120,6 @@ func Open(dir string, m *shard.Map, opts Options) (*Store, Recovery, error) {
 		k:          k,
 		w:          w,
 		policy:     opts.Policy,
-		interval:   opts.Interval,
 		gen:        maxGen + 1,
 		kick:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
@@ -286,7 +284,7 @@ func (s *Store) syncLoop() {
 	defer close(s.done)
 	var tick <-chan time.Time
 	if s.policy == SyncEverySec {
-		t := time.NewTicker(s.interval)
+		t := time.NewTicker(time.Second)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -619,6 +617,13 @@ func recoverInto(dir string, m *shard.Map) (Recovery, uint64, uint64, error) {
 				return rec, 0, 0, fmt.Errorf("persist: repairing %s: %w", sg.path, err)
 			}
 			rec.Repaired++
+		}
+		if good == 0 {
+			// Open writes to a new generation and maxGen has seen this
+			// one, so an empty segment serves no later recovery: remove
+			// it, or every Open would leave K more. A failed remove
+			// leaves an empty file, which the next recovery removes.
+			_ = os.Remove(sg.path)
 		}
 		rec.Segments++
 	}

@@ -38,7 +38,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mwllsc/internal/obs"
@@ -400,26 +399,11 @@ type connState struct {
 	// clock read the untraced path pays per batch when a tracer is
 	// attached. traced says the batch holds a span; stamps[st] is the end
 	// of stage st in it (see mark). sampleCtr counts toward the next head
-	// sample; rng is the per-connection trace-id generator (splitmix64),
-	// contention-free because it is never shared.
+	// sample.
 	tRead     time.Time
 	traced    bool
 	stamps    [trace.WireStages]time.Time
 	sampleCtr uint64
-	rng       uint64
-}
-
-// connSeed differentiates the per-connection trace-id rng streams.
-var connSeed atomic.Uint64
-
-// nextTraceID returns the next generated trace id (for head-sampled
-// spans; wire-flagged spans carry the client's id).
-func (cs *connState) nextTraceID() uint64 {
-	cs.rng += 0x9e3779b97f4a7c15
-	z := cs.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // newConnState builds the serving state of connection c.
@@ -428,7 +412,6 @@ func (s *Server) newConnState(c net.Conn) *connState {
 		s:   s,
 		c:   c,
 		buf: make([]byte, 0, writeBufCap),
-		rng: uint64(time.Now().UnixNano()) ^ connSeed.Add(1)<<32,
 	}
 	cs.mergeOne = func(v []uint64) {
 		wire.Merge(v, cs.args, cs.mode)
@@ -851,7 +834,7 @@ func (cs *connState) closeSpan(sp *trace.Span, req *wire.Request, resp *wire.Res
 	sp.Err = resp.Status != wire.StatusOK
 	if !req.Traced {
 		sp.Sampled = true
-		sp.TraceID = cs.nextTraceID()
+		sp.TraceID = trace.NewID()
 		return
 	}
 	sp.TraceID = req.TraceID

@@ -16,13 +16,17 @@
 // The design constraint is the same one that shaped the serving path
 // and the obs layer: the *untraced* path must stay allocation-free and
 // within the E14 overhead budget. Everything per-request is gated on
-// one branch; spans are preallocated and recycled; retirement copies
-// the span into fixed rings of atomic words (no locks on the recent
-// ring, a short mutex on the rare slow-candidate path) so concurrent
-// /tracez and /slowz readers race nothing.
+// one branch; spans are preallocated and recycled. Retirement copies
+// the span, as a plain Span, into a fixed recent ring and, when it is
+// among the slowest, a fixed slowest-N window. One mutex guards both
+// and the exemplar; it is held for a copy, plus a scan of the window
+// only for a span slower than the window's floor. /tracez and /slowz
+// readers copy under the same mutex, so they never see a torn span.
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,8 +94,8 @@ func StageName(st Stage) string {
 
 // Span is one traced request's record. The server fills it in while the
 // request moves through the pipeline and retires it with
-// Tracer.Retire, which copies it into the rings and recycles it; a
-// *Span must not be held past Retire.
+// Tracer.Retire, which copies it into the recent ring and the slow
+// window and recycles it; a *Span must not be held past Retire.
 type Span struct {
 	// TraceID identifies the trace: client-chosen for wire-flagged
 	// requests, generated for head-sampled ones.
@@ -147,94 +151,32 @@ func (s *Span) Finish(t time.Time) {
 	s.Total = uint64(t.Sub(s.begin))
 }
 
-// spanWords is the fixed word footprint of a span in the rings:
-// trace id, meta (op/flags/attempts/batch), key, start, total, and the
-// per-stage durations.
-const spanWords = 5 + NumStages
+// idSeed and idCount drive NewID: splitmix64 over a counter that starts
+// from the clock, so two processes draw different sequences.
+var (
+	idSeed  = uint64(time.Now().UnixNano())
+	idCount atomic.Uint64
+)
 
-// encode packs the span into dst.
-func (s *Span) encode(dst *[spanWords]uint64) {
-	meta := uint64(s.Op) | uint64(s.Attempts)<<16 | uint64(s.Batch)<<48
-	if s.Sampled {
-		meta |= 1 << 8
-	}
-	if s.Err {
-		meta |= 1 << 9
-	}
-	dst[0] = s.TraceID
-	dst[1] = meta
-	dst[2] = s.Key
-	dst[3] = uint64(s.Start)
-	dst[4] = s.Total
-	for i := 0; i < NumStages; i++ {
-		dst[5+i] = s.Stages[i]
-	}
-}
-
-// decode unpacks a ring record into s (clock anchors are zero; the
-// span is display-only).
-func (s *Span) decode(src *[spanWords]uint64) {
-	*s = Span{
-		TraceID:  src[0],
-		Op:       uint8(src[1]),
-		Sampled:  src[1]&(1<<8) != 0,
-		Err:      src[1]&(1<<9) != 0,
-		Attempts: uint32(src[1] >> 16 & 0xffffffff),
-		Batch:    uint32(src[1] >> 48),
-		Key:      src[2],
-		Start:    int64(src[3]),
-		Total:    src[4],
-	}
-	for i := 0; i < NumStages; i++ {
-		s.Stages[i] = src[5+i]
-	}
-}
-
-// Attempts packing caps at 32 bits; Batch at 16. Both are far beyond
-// any real batch executor's values (maxbatch defaults to 64, attempts
-// are per-request retry counts).
-
-// ringSlot is one seqlock-guarded span slot: writers bump seq to odd,
-// store the words, bump to even; readers copy the words and discard
-// the copy when seq changed underneath them. Everything is atomic, so
-// the ring is lock-free and race-clean while readers and the writer
-// overlap.
-type ringSlot struct {
-	seq   atomic.Uint64
-	words [spanWords]atomic.Uint64
-}
-
-func (sl *ringSlot) store(w *[spanWords]uint64) {
-	sl.seq.Add(1) // odd: write in progress
-	for i := range sl.words {
-		sl.words[i].Store(w[i])
-	}
-	sl.seq.Add(1) // even: stable
-}
-
-// load copies the slot out; ok is false when the slot is empty or a
-// writer raced the read.
-func (sl *ringSlot) load(w *[spanWords]uint64) (ok bool) {
-	s1 := sl.seq.Load()
-	if s1 == 0 || s1%2 == 1 {
-		return false
-	}
-	for i := range sl.words {
-		w[i] = sl.words[i].Load()
-	}
-	return sl.seq.Load() == s1
+// NewID returns a fresh trace id, unique within the process: the client
+// gives one to a WithTrace call whose id is zero, and the server to each
+// head-sampled span. Safe for concurrent use.
+func NewID() uint64 {
+	z := idSeed + idCount.Add(1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // slowWindow bounds how long a span defends its slowest-N slot: /slowz
 // shows the slowest of the recent past, not of all time.
 const slowWindow = time.Minute
 
-// slowEntry is one slot of the slowest-N window.
+// slowEntry is one slot of the slowest-N window. A slot never filled
+// has a zero seen, so it reads as expired.
 type slowEntry struct {
-	words [spanWords]uint64
-	total uint64
-	seen  time.Time // retirement time, for window expiry
-	live  bool
+	span Span
+	seen time.Time // retirement time, for window expiry
 }
 
 // Config tunes New. Zero values select sensible defaults.
@@ -262,30 +204,31 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Tracer owns the span free list and the retirement rings, and serves
-// them as /tracez and /slowz (http.go).
+// Tracer owns the span free list and the retired spans, and serves them
+// as /tracez and /slowz (http.go).
 type Tracer struct {
 	sampleN uint64
 	slowNS  uint64
 	logf    func(format string, args ...any)
 
-	free chan *Span
+	free    chan *Span
+	dropped atomic.Uint64
 
-	recent []ringSlot
-	next   atomic.Uint64 // next recent slot
-
-	slowGate atomic.Uint64 // fast-path filter: min total currently in slow
-	slowMu   sync.Mutex
-	slow     []slowEntry
+	// mu guards the retired spans: the recent ring, the slowest-N
+	// window and the exemplar.
+	mu      sync.Mutex
+	recent  []Span
+	retired uint64 // spans retired; the next goes to recent[retired%len]
+	slow    []slowEntry
+	// slowFloor is the window's smallest total when the last span to
+	// enter it found every slot live, else 0. Retire scans the window
+	// only for a span above it (or past the threshold).
+	slowFloor uint64
 
 	// exemplar-lite: the trace id + latency of the slowest span since
 	// the last Exemplar() read, linking histogram tails to traces.
-	exMu  sync.Mutex
 	exID  uint64
 	exLat uint64
-
-	retired atomic.Uint64
-	dropped atomic.Uint64
 }
 
 // New builds a Tracer from cfg.
@@ -304,7 +247,7 @@ func New(cfg Config) *Tracer {
 		slowNS:  uint64(cfg.SlowThreshold),
 		logf:    cfg.Logf,
 		free:    make(chan *Span, cfg.MaxLive),
-		recent:  make([]ringSlot, cfg.Recent),
+		recent:  make([]Span, cfg.Recent),
 		slow:    make([]slowEntry, cfg.SlowN),
 	}
 	for i := 0; i < cfg.MaxLive; i++ {
@@ -315,9 +258,6 @@ func New(cfg Config) *Tracer {
 
 // SampleN returns the head-sampling rate (1-in-N; 0 = off).
 func (t *Tracer) SampleN() uint64 { return t.sampleN }
-
-// SlowThreshold returns the slow-span threshold (0 = off).
-func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNS) }
 
 // Get draws a span from the free list, or nil when every span is live
 // — the caller then serves the request untraced (counted in Stats).
@@ -331,40 +271,30 @@ func (t *Tracer) Get() *Span {
 	}
 }
 
-// Retire completes s: copies it into the recent ring (and the slow
-// window when it qualifies), updates the exemplar, emits the slow-op
-// log line when past the threshold, and recycles s. The caller must
-// not touch s afterwards.
+// Retire completes s: emits the slow-op log line when s is past the
+// threshold, copies s into the recent ring (and the slow window when it
+// qualifies), updates the exemplar, and recycles s. The caller must not
+// touch s afterwards.
 func (t *Tracer) Retire(s *Span) {
-	var w [spanWords]uint64
-	s.encode(&w)
-	total := s.Total
-	t.retired.Add(1)
-
-	slot := (t.next.Add(1) - 1) % uint64(len(t.recent))
-	t.recent[slot].store(&w)
-
-	t.exMu.Lock()
-	if total > t.exLat {
-		t.exLat, t.exID = total, s.TraceID
-	}
-	t.exMu.Unlock()
-
-	slow := t.slowNS > 0 && total >= t.slowNS
+	slow := t.slowNS > 0 && s.Total >= t.slowNS
 	if slow && t.logf != nil {
 		t.logf("slow-op trace=%016x op=%d key=%d sampled=%v total=%s decode=%s queue=%s acquire=%s execute=%s persist=%s fsync=%s flush=%s attempts=%d batch=%d",
-			s.TraceID, s.Op, s.Key, s.Sampled, time.Duration(total),
+			s.TraceID, s.Op, s.Key, s.Sampled, time.Duration(s.Total),
 			time.Duration(s.Stages[StageDecode]), time.Duration(s.Stages[StageQueue]),
 			time.Duration(s.Stages[StageAcquire]), time.Duration(s.Stages[StageExecute]),
 			time.Duration(s.Stages[StagePersist]), time.Duration(s.Stages[StageFsync]),
 			time.Duration(s.Stages[StageFlush]), s.Attempts, s.Batch)
 	}
-	// The gate makes the common case one atomic load: only spans that
-	// beat the current slowest-N floor (or are past the threshold) pay
-	// the mutex.
-	if slow || total > t.slowGate.Load() {
-		t.offerSlow(&w, total, time.Now())
+	t.mu.Lock()
+	t.recent[t.retired%uint64(len(t.recent))] = *s
+	t.retired++
+	if s.Total > t.exLat {
+		t.exLat, t.exID = s.Total, s.TraceID
 	}
+	if slow || s.Total > t.slowFloor {
+		t.offerSlow(s, time.Now())
+	}
+	t.mu.Unlock()
 
 	*s = Span{}
 	select {
@@ -373,65 +303,49 @@ func (t *Tracer) Retire(s *Span) {
 	}
 }
 
-// offerSlow inserts the span into the slowest-N window, evicting the
-// best victim: an empty or expired slot first, else the smallest
-// total if the newcomer beats it. It then refreshes the gate to the
-// window's floor.
-func (t *Tracer) offerSlow(w *[spanWords]uint64, total uint64, now time.Time) {
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
-	victim := -1
-	var victimTotal uint64 = ^uint64(0)
+// offerSlow puts s into the slowest-N window in place of the best
+// victim: an empty or expired slot first, else the smallest total if
+// s's total is at least that. It then recomputes the floor. t.mu is
+// held.
+func (t *Tracer) offerSlow(s *Span, now time.Time) {
+	victim, victimTotal := 0, ^uint64(0)
 	for i := range t.slow {
 		e := &t.slow[i]
-		if !e.live || now.Sub(e.seen) > slowWindow {
+		if now.Sub(e.seen) > slowWindow {
 			victim, victimTotal = i, 0
 			break
 		}
-		if e.total < victimTotal {
-			victim, victimTotal = i, e.total
+		if e.span.Total < victimTotal {
+			victim, victimTotal = i, e.span.Total
 		}
 	}
-	if victim < 0 || (victimTotal > 0 && total < victimTotal) {
+	if s.Total < victimTotal {
 		return
 	}
-	t.slow[victim] = slowEntry{words: *w, total: total, seen: now, live: true}
-	floor := ^uint64(0)
-	full := true
+	t.slow[victim] = slowEntry{span: *s, seen: now}
+	t.slowFloor = ^uint64(0)
 	for i := range t.slow {
 		e := &t.slow[i]
-		if !e.live || now.Sub(e.seen) > slowWindow {
-			full = false
-			continue
+		if now.Sub(e.seen) > slowWindow {
+			t.slowFloor = 0 // a free slot: let everything through
+			return
 		}
-		if e.total < floor {
-			floor = e.total
-		}
+		t.slowFloor = min(t.slowFloor, e.span.Total)
 	}
-	if !full {
-		floor = 0 // free slots: let everything through
-	}
-	t.slowGate.Store(floor)
 }
 
 // Recent appends up to max of the most recently retired spans to dst,
-// newest first. Spans a concurrent writer is overwriting are skipped.
+// newest first.
 func (t *Tracer) Recent(dst []Span, max int) []Span {
 	n := len(t.recent)
 	if max <= 0 || max > n {
 		max = n
 	}
-	head := t.next.Load()
-	var w [spanWords]uint64
-	for i := 0; i < n && max > 0; i++ {
-		slot := (head + uint64(n) - 1 - uint64(i)) % uint64(n)
-		if !t.recent[slot].load(&w) {
-			continue
-		}
-		var s Span
-		s.decode(&w)
-		dst = append(dst, s)
-		max--
+	dst = slices.Grow(dst, max)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := uint64(1); i <= min(uint64(max), t.retired); i++ {
+		dst = append(dst, t.recent[(t.retired-i)%uint64(n)])
 	}
 	return dst
 }
@@ -440,25 +354,15 @@ func (t *Tracer) Recent(dst []Span, max int) []Span {
 // dropping entries that have aged out.
 func (t *Tracer) Slow(dst []Span) []Span {
 	now := time.Now()
-	t.slowMu.Lock()
-	entries := make([]slowEntry, 0, len(t.slow))
+	start := len(dst)
+	t.mu.Lock()
 	for i := range t.slow {
-		e := t.slow[i]
-		if e.live && now.Sub(e.seen) <= slowWindow {
-			entries = append(entries, e)
+		if e := &t.slow[i]; now.Sub(e.seen) <= slowWindow {
+			dst = append(dst, e.span)
 		}
 	}
-	t.slowMu.Unlock()
-	for i := 1; i < len(entries); i++ { // insertion sort, slowest first
-		for j := i; j > 0 && entries[j].total > entries[j-1].total; j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
-	for i := range entries {
-		var s Span
-		s.decode(&entries[i].words)
-		dst = append(dst, s)
-	}
+	t.mu.Unlock()
+	slices.SortStableFunc(dst[start:], func(a, b Span) int { return cmp.Compare(b.Total, a.Total) })
 	return dst
 }
 
@@ -466,10 +370,10 @@ func (t *Tracer) Slow(dst []Span) []Span {
 // span retired since the previous call — the "exemplar-lite" link from
 // a histogram snapshot's max-latency observation to its trace.
 func (t *Tracer) Exemplar() (id, latNS uint64) {
-	t.exMu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	id, latNS = t.exID, t.exLat
 	t.exID, t.exLat = 0, 0
-	t.exMu.Unlock()
 	return id, latNS
 }
 
@@ -483,5 +387,7 @@ type Stats struct {
 
 // Stats returns the tracer's counters.
 func (t *Tracer) Stats() Stats {
-	return Stats{Retired: t.retired.Load(), Dropped: t.dropped.Load()}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return Stats{Retired: t.retired, Dropped: t.dropped.Load()}
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -50,30 +53,6 @@ func TestStageSumEqualsTotal(t *testing.T) {
 	}
 	if got := s.Stages[StageExecute]; got != uint64(83*time.Microsecond) {
 		t.Fatalf("execute stage = %v, want 83us", time.Duration(got))
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := Span{
-		TraceID:  0xdeadbeefcafe,
-		Op:       6,
-		Sampled:  true,
-		Err:      true,
-		Attempts: 123456,
-		Batch:    64,
-		Key:      987,
-		Start:    1700000000123456789,
-		Total:    42_000,
-	}
-	for i := range in.Stages {
-		in.Stages[i] = uint64(i * 1000)
-	}
-	var w [spanWords]uint64
-	in.encode(&w)
-	var out Span
-	out.decode(&w)
-	if out != in {
-		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
 	}
 }
 
@@ -174,7 +153,9 @@ func TestExemplarTracksMaxAndResets(t *testing.T) {
 
 func TestConcurrentRetireAndRead(t *testing.T) {
 	// Retirement races /tracez + /slowz readers; under -race this pins
-	// that the rings are safe to scrape mid-load.
+	// that the retired spans are safe to scrape mid-load, and every
+	// span read back must be whole: its stages sum to its total, which a
+	// copy torn between two spans would not.
 	tr := New(Config{Recent: 16, SlowN: 4, SlowThreshold: time.Microsecond,
 		Logf: func(string, ...any) {}})
 	var wg sync.WaitGroup
@@ -202,9 +183,20 @@ func TestConcurrentRetireAndRead(t *testing.T) {
 			}
 		}(g)
 	}
+	whole := func(spans []Span) {
+		for _, s := range spans {
+			var sum uint64
+			for _, d := range s.Stages {
+				sum += d
+			}
+			if sum != s.Total {
+				t.Errorf("torn span %016x: stage sum %d != total %d", s.TraceID, sum, s.Total)
+			}
+		}
+	}
 	for i := 0; i < 200; i++ {
-		tr.Recent(nil, 0)
-		tr.Slow(nil)
+		whole(tr.Recent(nil, 0))
+		whole(tr.Slow(nil))
 		tr.Exemplar()
 	}
 	close(stop)
@@ -271,5 +263,37 @@ func TestRetireDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Get+Retire allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestNewIDDiffersAcrossProcesses runs the test binary twice as a child
+// and requires the two processes' first ids to differ: a generator that
+// is not seeded per process hands every process the same sequence.
+func TestNewIDDiffersAcrossProcesses(t *testing.T) {
+	if os.Getenv("TRACE_NEWID_CHILD") == "1" {
+		fmt.Printf("newid=%d\n", NewID())
+		return
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := regexp.MustCompile(`newid=(\d+)`)
+	var ids [2]string
+	for i := range ids {
+		cmd := exec.Command(exe, "-test.run=^TestNewIDDiffersAcrossProcesses$")
+		cmd.Env = append(os.Environ(), "TRACE_NEWID_CHILD=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("child %d: %v\n%s", i, err, out)
+		}
+		m := re.FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("child %d printed no id:\n%s", i, out)
+		}
+		ids[i] = string(m[1])
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two processes drew the same first trace id %s", ids[0])
 	}
 }
