@@ -15,8 +15,8 @@
 //	      [-max-inflight 0] [-degrade-on-disk-error]
 //
 // With -dir the daemon is durable: committed updates are appended to
-// per-shard logs in that directory (fsynced per -fsync: none, everysec
-// or always), checkpoints are taken every -checkpoint-interval, and
+// one log in that directory (fsynced per -fsync: none, everysec or
+// always), checkpoints are taken every -checkpoint-interval, and
 // startup recovers the previous state from checkpoint plus logs. The
 // geometry flags (-shards, -words) must match the directory's; see
 // docs/OPERATIONS.md for the per-policy durability contract. Without

@@ -127,10 +127,10 @@
 // # Durability
 //
 // Run cmd/llscd with -dir and the map survives restarts: every
-// committed remote update is appended to a per-shard append-only log
+// committed remote update is appended to one append-only log
 // (internal/persist) after it commits in memory and before its response
-// is flushed, and startup recovers the latest checkpoint plus a
-// commit-ordered log replay. Because remote updates are declarative
+// is flushed, and startup recovers the latest checkpoint plus the log,
+// folded per shard in commit order. Because remote updates are declarative
 // (Add/Set merges — closures never enter the log), records are
 // replayable by construction; a commit sequence number captured inside
 // each update's merge callback preserves same-shard commit order

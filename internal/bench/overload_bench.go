@@ -158,10 +158,8 @@ func quantile(lats []time.Duration, q float64) time.Duration {
 func E16Overload(o Options) (*Table, error) {
 	o = o.withDefaults()
 	const (
-		// Few shards: the group-commit round fsyncs each dirty shard log
-		// sequentially, so the shard count sets the latency floor every
-		// ack pays; keeping it low keeps the healthy p99 — and the SLO
-		// derived from it — in the tens of milliseconds.
+		// A group-commit round makes one fsync whatever the shard
+		// count, so k sizes only the map.
 		k        = 4
 		w        = 2
 		maxBatch = 64
@@ -203,7 +201,7 @@ func E16Overload(o Options) (*Table, error) {
 	//
 	// The log runs behind the fault harness's file layer modeling a
 	// bandwidth-bound disk: writes are throttled to a fixed byte rate,
-	// serialized across the shard logs like one device. A byte-rate cost
+	// serialized like one device. A byte-rate cost
 	// — unlike a per-write cost — is identical per record however
 	// records coalesce into writes, so the ops/sec ceiling it pins is
 	// independent of batch size and concurrency: the capacity probe and

@@ -9,9 +9,10 @@ import (
 
 // FilesConfig configures an error-injecting file layer for the
 // persistence log. Counters are shared across every file opened by the
-// same Files, so "fail after N bytes" means N bytes across all shard
-// logs together — matching how a sick disk fails the whole store, not
-// one file. The zero value injects nothing.
+// same Files, so "fail after N bytes" means N bytes across all of a
+// store's log segments together, the current one and those a checkpoint
+// retired — matching how a sick disk fails the whole store, not one
+// file. The zero value injects nothing.
 type FilesConfig struct {
 	// WriteBytesPerSec throttles Writes to this many bytes per second,
 	// serialized across every file sharing the Files — a disk with
@@ -132,8 +133,8 @@ func (f *File) Sync() error {
 	}
 	fs.syncs++
 	fs.mu.Unlock()
-	// Sleep outside the lock: concurrent syncs of different shard logs
-	// overlap, like independent flushes in a device queue.
+	// Sleep outside the lock, so a slow flush does not hold up Write and
+	// Injected calls on other files of the same Files.
 	if d := fs.cfg.SyncLatency; d > 0 {
 		time.Sleep(d)
 	}

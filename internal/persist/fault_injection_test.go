@@ -37,10 +37,7 @@ func TestFaultInjectedTornWriteNoAckedLoss(t *testing.T) {
 			wire.Merge(v, args, wire.ModeSet)
 			seq = st.NextSeq()
 		})
-		err := st.Append([]Record{{
-			Seq: seq, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: i,
-			Args: args, Shard: m.ShardIndex(i),
-		}})
+		err := st.Append([]Record{{Seq: seq, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: i, Args: args}})
 		if err != nil {
 			failures++
 			if !st.Sick() || st.Err() == nil {

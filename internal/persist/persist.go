@@ -1,7 +1,7 @@
 // Package persist is the durability layer under the serving stack: a
-// Redis-AOF-style per-shard append-only log of committed declarative
-// updates plus periodic checkpoints, so an llscd restart — graceful or
-// SIGKILL — recovers the map instead of losing every word.
+// Redis-AOF-style append-only log of committed declarative updates plus
+// periodic checkpoints, so an llscd restart — graceful or SIGKILL —
+// recovers the map instead of losing every word.
 //
 // # What is logged
 //
@@ -13,14 +13,15 @@
 //
 //	uint32 length | uint32 crc32c(payload) | payload
 //
-// in the log file of the owning shard (a multi-key record goes to the
-// log of its lowest target shard; recovery reads every log, so the
-// choice only spreads append traffic).
+// in one log for the whole store: each Append is one write of a batch's
+// records, and each group-commit round is one fsync. The shards need no
+// files of their own, because recovery orders each shard's records by
+// Seq (below), not by where they sit in the log.
 //
 // # Commit ordering without touching the lock-free hot path
 //
 // Appends happen after the in-memory commit, outside the registry slot,
-// so two connections' records can reach the files in an order different
+// so two connections' records can reach the log in an order different
 // from their commit order. Replay must still apply same-shard updates in
 // commit order (Set does not commute). The sequence number restores it:
 // the server captures Seq inside the update's merge callback — the
@@ -28,7 +29,7 @@
 // record, and on one shard it happens strictly between that update's
 // link and its successful store-conditional. Two committed updates on
 // the same shard therefore carry sequence numbers in their commit
-// order, whatever order their records land in the files. Recovery needs
+// order, whatever order their records land in the log. Recovery needs
 // no other order: each shard is its own LL/SC object, and
 // linearizability is local, so applying every shard's merges in Seq
 // order reproduces the map. The cost on the hot path is one atomic
@@ -38,8 +39,8 @@
 // # Checkpoints and the watermark
 //
 // A checkpoint must know exactly which logged records its snapshot
-// already contains. Store.Checkpoint first rotates every shard log to a
-// fresh segment generation, then asks the caller (the server) to run an
+// already contains. Store.Checkpoint first rotates the log to a fresh
+// segment generation, then asks the caller (the server) to run an
 // identity transaction over all shards — a cross-shard atomic
 // UpdateMulti whose callback changes nothing but captures one more
 // sequence number S and copies the values out. Because that transaction
@@ -55,7 +56,7 @@
 // # Recovery
 //
 // Open loads the checkpoint if present (validating magic, version,
-// geometry and CRC), reads every shard-*.log segment, truncates each at
+// geometry and CRC), reads every log-*.log segment, truncates each at
 // the first framing or CRC failure (a torn tail from a crash mid-append,
 // repaired Redis-AOF-style), removes a segment left with no records
 // (so restarts without writes do not pile up segment files), and drops
@@ -69,10 +70,15 @@
 // everything seen, and appends continue into a fresh segment
 // generation.
 //
+// A directory whose meta says v1 keeps one segment per shard
+// (shard-SSSS-GGGGGGGG.log). Open restamps meta as v2 before it writes
+// a log, recovers the per-shard segments exactly as above, and the
+// first checkpoint deletes them.
+//
 // # Fsync policies
 //
 // SyncNone never fsyncs (the OS decides; fastest, weakest), SyncEverySec
-// fsyncs dirty logs on a ticker (bounded loss window), SyncAlways makes
+// fsyncs a dirty log on a ticker (bounded loss window), SyncAlways makes
 // the server hold each batch's responses until a group-commit round has
 // fsynced its records — many concurrent batches share one fsync, which
 // is what keeps the policy affordable. The exact contract per policy is
@@ -98,7 +104,7 @@ const (
 	// everything since the last checkpoint; a process crash loses
 	// nothing (the writes are already in the kernel).
 	SyncNone Policy = iota
-	// SyncEverySec fsyncs dirty logs once per second from a background
+	// SyncEverySec fsyncs a dirty log once per second from a background
 	// goroutine. A machine crash loses at most the last second of
 	// acknowledged writes.
 	SyncEverySec
@@ -183,9 +189,10 @@ type Record struct {
 	// Args are the merge arguments: W words (OpUpdate) or len(Keys)×W
 	// words (OpUpdateMulti).
 	Args []uint64
-	// Shard routes the record to a log file: the owning shard for
-	// OpUpdate, the lowest target shard for OpUpdateMulti. Recovery
-	// reads every log, so routing affects only append parallelism.
+	// Shard is ignored.
+	//
+	// Deprecated: the store keeps one log for every shard, so a record
+	// needs no routing.
 	Shard int
 }
 

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,10 +46,7 @@ func apply(t *testing.T, m *shard.Map, st *Store, mode wire.Mode, key uint64, ar
 		wire.Merge(v, args, mode)
 		seq = st.NextSeq()
 	})
-	err := st.Append([]Record{{
-		Seq: seq, Op: wire.OpUpdate, Mode: mode, Key: key,
-		Args: args, Shard: m.ShardIndex(key),
-	}})
+	err := st.Append([]Record{{Seq: seq, Op: wire.OpUpdate, Mode: mode, Key: key, Args: args}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,26 +63,16 @@ func applyMulti(t *testing.T, m *shard.Map, st *Store, mode wire.Mode, keys []ui
 		}
 		seq = st.NextSeq()
 	})
-	lowest := m.ShardIndex(keys[0])
-	for _, k := range keys[1:] {
-		if i := m.ShardIndex(k); i < lowest {
-			lowest = i
-		}
-	}
-	err := st.Append([]Record{{
-		Seq: seq, Op: wire.OpUpdateMulti, Mode: mode, Keys: keys,
-		Args: args, Shard: lowest,
-	}})
+	err := st.Append([]Record{{Seq: seq, Op: wire.OpUpdateMulti, Mode: mode, Keys: keys, Args: args}})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// checkpointMap runs the server's checkpoint capture: an identity
-// transaction over all shards drawing the watermark inside the callback.
-func checkpointMap(t *testing.T, st *Store, m *shard.Map) {
-	t.Helper()
-	err := st.Checkpoint(func() ([][]uint64, uint64, error) {
+// capture is the server's checkpoint capture: an identity transaction
+// over all shards drawing the watermark inside the callback.
+func capture(st *Store, m *shard.Map) func() ([][]uint64, uint64, error) {
+	return func() ([][]uint64, uint64, error) {
 		rows := m.NewSnapshotBuffer()
 		keys := make([]uint64, m.Shards())
 		for i := range keys {
@@ -100,8 +88,13 @@ func checkpointMap(t *testing.T, st *Store, m *shard.Map) {
 			}
 		})
 		return rows, wm, nil
-	})
-	if err != nil {
+	}
+}
+
+// checkpointMap writes a checkpoint through capture.
+func checkpointMap(t *testing.T, st *Store, m *shard.Map) {
+	t.Helper()
+	if err := st.Checkpoint(capture(st, m)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,11 +159,10 @@ func TestSetOrderRestoredBySeqSort(t *testing.T) {
 	var seq1, seq2 uint64
 	m.Update(key, func(v []uint64) { wire.Merge(v, []uint64{1, 1}, wire.ModeSet); seq1 = st.NextSeq() })
 	m.Update(key, func(v []uint64) { wire.Merge(v, []uint64{9, 9}, wire.ModeSet); seq2 = st.NextSeq() })
-	sh := m.ShardIndex(key)
 	// Append out of order, as two racing connections could.
 	recs := []Record{
-		{Seq: seq2, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{9, 9}, Shard: sh},
-		{Seq: seq1, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{1, 1}, Shard: sh},
+		{Seq: seq2, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{9, 9}},
+		{Seq: seq1, Op: wire.OpUpdate, Mode: wire.ModeSet, Key: key, Args: []uint64{1, 1}},
 	}
 	if err := st.Append(recs); err != nil {
 		t.Fatal(err)
@@ -333,9 +325,10 @@ func TestCheckpointWithNoLogFiles(t *testing.T) {
 }
 
 // TestReopenRemovesEmptySegments pins that restarts do not pile up
-// segment files: each Open creates K new ones, and recovery removes the
-// empty ones the previous Open left, so a directory that takes no
-// appends holds exactly K segment files after any number of cycles.
+// segment files: each Open creates one new segment, and recovery
+// removes the empty one the previous Open left, so a directory that
+// takes no appends holds exactly one segment file after any number of
+// cycles.
 func TestReopenRemovesEmptySegments(t *testing.T) {
 	dir := t.TempDir()
 	for cycle := 1; cycle <= 5; cycle++ {
@@ -345,9 +338,156 @@ func TestReopenRemovesEmptySegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != tK {
-			t.Fatalf("after %d Open/Close cycles: %d segment files, want %d", cycle, len(segs), tK)
+		if len(segs) != 1 {
+			t.Fatalf("after %d Open/Close cycles: %d segment files, want 1", cycle, len(segs))
 		}
+	}
+}
+
+// blockingLog is a LogFile whose Sync, when release is set, announces
+// itself on entered and waits for release to close.
+type blockingLog struct {
+	LogFile
+	entered, release chan struct{}
+}
+
+func (l *blockingLog) Sync() error {
+	if l.release != nil {
+		close(l.entered)
+		<-l.release
+	}
+	return l.LogFile.Sync()
+}
+
+// TestSyncWaitsForRetiredSegment pins that a checkpoint cannot let a
+// record be acknowledged before it is on disk: while rotate is still
+// fsyncing the retired segment that holds an appended record, a Sync
+// must not return, whatever the current segment's state.
+func TestSyncWaitsForRetiredSegment(t *testing.T) {
+	dir := t.TempDir()
+	m := newMap(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	opened := 0
+	st, _ := openStore(t, dir, m, Options{OpenLog: func(path string) (LogFile, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		l := &blockingLog{LogFile: f}
+		if opened++; opened == 1 {
+			l.entered, l.release = entered, release
+		}
+		return l, nil
+	}})
+	defer st.Close()
+	apply(t, m, st, wire.ModeAdd, m.KeyForShard(0), []uint64{1, 1})
+
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- st.Checkpoint(capture(st, m)) }()
+	<-entered // rotate is fsyncing the first segment
+	synced := make(chan error, 1)
+	go func() { synced <- st.Sync() }()
+	select {
+	case err := <-synced:
+		close(release) // let the checkpoint and Close finish
+		t.Fatalf("Sync returned (%v) while the retired segment's fsync was blocked", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ckpt; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenUpgradesV1Directory builds a directory as the per-shard
+// layout left it: a v1 meta stamp, a checkpoint, and records spread
+// over per-shard segments of two generations, one of them at or below
+// the watermark and one multi-key record in its lowest shard's file.
+// Open must recover the same state and restamp meta as v2, and the
+// first checkpoint must delete every per-shard segment.
+func TestOpenUpgradesV1Directory(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeFileDurable(dir, metaFile, fmt.Appendf(nil, metaFormat, 1, tK, tW)); err != nil {
+		t.Fatal(err)
+	}
+	want := newMap(t)
+	rows := want.NewSnapshotBuffer()
+	rows[1] = []uint64{10, 20}
+	if err := writeCheckpoint(dir, tK, tW, rows, 2); err != nil {
+		t.Fatal(err)
+	}
+	k := want.KeyForShard
+	recs := []Record{
+		{Seq: 1, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: k(0), Args: []uint64{100, 100}}, // in the checkpoint
+		{Seq: 3, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: k(1), Args: []uint64{1, 2}},
+		{Seq: 5, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: k(3), Args: []uint64{1, 1}},
+		{Seq: 4, Op: wire.OpUpdateMulti, Mode: wire.ModeSet, Keys: []uint64{k(3), k(2)}, Args: []uint64{5, 6, 7, 8}},
+	}
+	files := map[string][]byte{}
+	for i, r := range recs {
+		sh := want.ShardIndex(r.Key)
+		if r.Op == wire.OpUpdateMulti {
+			sh = min(want.ShardIndex(r.Keys[0]), want.ShardIndex(r.Keys[1]))
+		}
+		name := v1SegName(sh, uint64(1+i%2))
+		files[name] = appendRecord(files[name], &r)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, row := range rows {
+		want.Update(k(i), func(v []uint64) { copy(v, row) })
+	}
+	for _, i := range []int{1, 3, 2} { // the records above the watermark, in Seq order
+		r := recs[i]
+		if r.Op == wire.OpUpdate {
+			want.Update(r.Key, func(v []uint64) { wire.Merge(v, r.Args, r.Mode) })
+			continue
+		}
+		want.UpdateMulti(r.Keys, func(vals [][]uint64) {
+			for j, v := range vals {
+				wire.Merge(v, r.Args[j*tW:(j+1)*tW], r.Mode)
+			}
+		})
+	}
+
+	m, st, rec := reopen(t, dir, Options{})
+	if rec.Replayed != 3 || rec.Skipped != 1 || rec.Segments != len(files) || rec.NextSeq != 5 {
+		t.Fatalf("recovery %+v, want 3 replayed, 1 skipped, %d segments, NextSeq 5", rec, len(files))
+	}
+	if got, want := snapshotOf(t, m), snapshotOf(t, want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stamp := fmt.Sprintf(metaFormat, 2, tK, tW); string(meta) != stamp {
+		t.Fatalf("meta reads %q after Open, want %q", meta, stamp)
+	}
+
+	apply(t, m, st, wire.ModeAdd, k(0), []uint64{1, 0})
+	checkpointMap(t, st, m)
+	wantRows := snapshotOf(t, m)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || filepath.Base(names[0]) != logName(4) {
+		t.Fatalf("segments after the first checkpoint: %v, want only %s", names, logName(4))
+	}
+	m2, st2, _ := reopen(t, dir, Options{})
+	defer st2.Close()
+	if got := snapshotOf(t, m2); !reflect.DeepEqual(got, wantRows) {
+		t.Fatalf("recovered %v after the upgrade's checkpoint, want %v", got, wantRows)
 	}
 }
 
@@ -368,7 +508,7 @@ func TestWatermarkFiltersAlreadyCheckpointedRecords(t *testing.T) {
 	var buf []byte
 	buf = appendRecord(buf, &Record{Seq: 1, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: key, Args: []uint64{5, 0}})
 	buf = appendRecord(buf, &Record{Seq: 3, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: key, Args: []uint64{7, 0}})
-	if err := os.WriteFile(filepath.Join(dir, segName(0, 1)), buf, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, logName(1)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -458,7 +598,7 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 					seq = st.NextSeq()
 				})
 				if err := st.Append([]Record{{Seq: seq, Op: wire.OpUpdate, Mode: wire.ModeAdd,
-					Key: key, Args: []uint64{1, 0}, Shard: m.ShardIndex(key)}}); err != nil {
+					Key: key, Args: []uint64{1, 0}}}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -110,11 +110,13 @@ type fuzzHistory struct {
 
 // fuzzRecord is one logged update, in file-write order.
 type fuzzRecord struct {
-	set     bool     // ModeSet, else ModeAdd
-	swapSeq bool     // take the previous record's Seq, giving it this one's
-	file    int      // segment: shard file file%tK, generation 1+file/tK
-	keys    []uint64 // one key: OpUpdate; more: OpUpdateMulti
-	args    []uint64 // len(keys)×tW words
+	set     bool // ModeSet, else ModeAdd
+	swapSeq bool // take the previous record's Seq, giving it this one's
+	// file names the segment: below tK, shard file's v1 segment at
+	// generation 1; from tK on, the one log at generation 2+file-tK.
+	file int
+	keys []uint64 // one key: OpUpdate; more: OpUpdateMulti
+	args []uint64 // len(keys)×tW words
 }
 
 // Byte layout of a history: a watermark byte (0: no checkpoint), then per
@@ -208,7 +210,10 @@ func (h fuzzHistory) write(t *testing.T, dir string) {
 		} else {
 			rec.Op, rec.Keys = wire.OpUpdateMulti, r.keys
 		}
-		name := segName(r.file%tK, uint64(1+r.file/tK))
+		name := logName(uint64(2 + r.file - tK))
+		if r.file < tK {
+			name = v1SegName(r.file, 1)
+		}
 		files[name] = appendRecord(files[name], &rec)
 	}
 	for name, data := range files {
@@ -216,6 +221,12 @@ func (h fuzzHistory) write(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// v1SegName is the name of shard i's segment at generation gen in a v1
+// directory, which kept one log per shard.
+func v1SegName(i int, gen uint64) string {
+	return fmt.Sprintf("shard-%04d-%08d.log", i, gen)
 }
 
 // keyInShard returns the nth single-byte key (n from 0) owned by shard
@@ -238,9 +249,9 @@ func keyInShard(t testing.TB, m *shard.Map, i, n int) uint64 {
 // recovers — the same rows, the same Replayed, Skipped and Repaired
 // counts, and the same next Seq and segment generation — for any
 // history with unique Seqs: Add and Set, single- and multi-key records
-// (keys may alias one shard), records in any shard's file and
-// generation, out of Seq order within a file, with or without a
-// checkpoint watermark.
+// (keys may alias one shard), records in the one-log layout's segments
+// and in a v1 directory's per-shard files, out of Seq order within a
+// file, with or without a checkpoint watermark.
 func FuzzRecoverMatchesReplay(f *testing.F) {
 	m, err := shard.NewMap(tK, 8, tW)
 	if err != nil {
@@ -274,14 +285,22 @@ func FuzzRecoverMatchesReplay(f *testing.F) {
 	}}
 	f.Add(between.encode())
 
-	// The same interleaving across generations, behind a watermark that
-	// skips the first two records, with Sets landing in reverse order.
+	// The same interleaving across generations and into the one log,
+	// behind a watermark that skips the first two records, with Sets
+	// landing in reverse order.
 	skipped := between
 	skipped.watermark = 2
 	skipped.recs = append(append([]fuzzRecord(nil), between.recs...),
 		single(true, 6, key(2, 2), 8, 8),
 		fuzzRecord{set: true, swapSeq: true, file: 6, keys: []uint64{key(2, 0)}, args: []uint64{9, 9}})
 	f.Add(skipped.encode())
+
+	// The same interleaving, all of it in one log segment.
+	oneLog := fuzzHistory{recs: append([]fuzzRecord(nil), between.recs...)}
+	for i := range oneLog.recs {
+		oneLog.recs[i].file = tK
+	}
+	f.Add(oneLog.encode())
 	f.Add([]byte{})
 	f.Add([]byte{3})
 
@@ -314,27 +333,22 @@ func FuzzRecoverMatchesReplay(f *testing.F) {
 // grow with the number of records. Replaying through a []Record made
 // about two allocations per record (~200,000 here: a copy of each
 // record's args, plus slice growth); the fold allocates per segment and
-// per shard (~400 here, nearly all of it Open's fixed cost). The bound,
-// one allocation per 20 records, fails any per-record allocation and
-// leaves Open's fixed cost more than ten times the room it needs.
+// per shard (under 100 here, nearly all of it Open's fixed cost). The
+// bound, one allocation per 20 records, fails any per-record allocation
+// and leaves Open's fixed cost more than ten times the room it needs.
 func TestRecoveryAllocs(t *testing.T) {
 	const records = 100_000
 	dir := t.TempDir()
 	if err := checkMeta(dir, tK, tW); err != nil {
 		t.Fatal(err)
 	}
-	m := newMap(t)
-	files := make([][]byte, tK)
+	var data []byte
 	for i := range records {
-		key := uint64(i)
-		sh := m.ShardIndex(key)
-		files[sh] = appendRecord(files[sh], &Record{Seq: uint64(i + 1), Op: wire.OpUpdate,
-			Mode: wire.ModeAdd, Key: key, Args: []uint64{1, uint64(i)}})
+		data = appendRecord(data, &Record{Seq: uint64(i + 1), Op: wire.OpUpdate,
+			Mode: wire.ModeAdd, Key: uint64(i), Args: []uint64{1, uint64(i)}})
 	}
-	for sh, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, segName(sh, 1)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, logName(1)), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	const runs = 3

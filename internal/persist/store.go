@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,8 @@ import (
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("persist: store closed")
 
-// Store is the open durability state of one map: a log file per shard at
-// the current segment generation, the commit sequence counter, and the
+// Store is the open durability state of one map: the log segment at
+// the current generation, the commit sequence counter, and the
 // group-commit syncer. Append, Sync and NextSeq are safe for concurrent
 // use; Checkpoint serializes with itself.
 type Store struct {
@@ -33,8 +32,17 @@ type Store struct {
 	k, w   int
 	policy Policy
 
-	seq  atomic.Uint64
-	logs []*shardLog
+	seq atomic.Uint64
+
+	// mu guards the open segment: Append writes it, and a group-commit
+	// round and rotate fsync it, all under mu, so an Append waits out an
+	// fsync in progress. A round that starts after an Append returned
+	// therefore finds that Append's bytes in the file it fsyncs or in a
+	// retired file that rotate has already fsynced.
+	mu    sync.Mutex
+	f     LogFile
+	buf   []byte
+	dirty bool // written since the last fsync
 
 	ckptMu sync.Mutex // serializes Checkpoint; guards gen
 	gen    uint64
@@ -59,22 +67,12 @@ type Store struct {
 	syncs   atomic.Uint64
 	ckpts   atomic.Uint64
 
-	// appendHist times appendRun's log write, striped by shard (the
-	// write already serializes on the shard's log mutex, so a stripe
-	// per shard means no cross-shard line sharing). syncHist times each
+	// appendHist times Append's log write. syncHist times each
 	// group-commit round that actually fsynced something — the number
-	// that bounds commit acknowledgment latency under SyncAlways.
-	// Both record nanoseconds.
+	// that bounds commit acknowledgment latency under SyncAlways. Both
+	// record nanoseconds into one stripe: their writers hold mu.
 	appendHist *obs.Histogram
 	syncHist   *obs.Histogram
-}
-
-// shardLog is one shard's current segment file.
-type shardLog struct {
-	mu    sync.Mutex
-	f     LogFile
-	buf   []byte
-	dirty atomic.Bool
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -124,32 +122,22 @@ func Open(dir string, m *shard.Map, opts Options) (*Store, Recovery, error) {
 		kick:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		appendHist: obs.NewHistogram(k),
+		appendHist: obs.NewHistogram(1),
 		syncHist:   obs.NewHistogram(1),
 		openLog:    opts.OpenLog,
 	}
 	s.seq.Store(maxSeq)
 	rec.NextSeq = maxSeq
-	s.logs = make([]*shardLog, k)
-	for i := range s.logs {
-		f, err := s.openLog(filepath.Join(dir, segName(i, s.gen)))
-		if err != nil {
-			for _, lg := range s.logs[:i] {
-				lg.f.Close()
-			}
-			return nil, Recovery{}, fmt.Errorf("persist: %w", err)
-		}
-		s.logs[i] = &shardLog{f: f}
+	if s.f, err = s.openLog(filepath.Join(dir, logName(s.gen))); err != nil {
+		return nil, Recovery{}, fmt.Errorf("persist: %w", err)
 	}
 	if err := syncDir(dir); err != nil {
+		s.f.Close()
 		return nil, Recovery{}, err
 	}
 	go s.syncLoop()
 	return s, rec, nil
 }
-
-// Dir returns the durability directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Policy returns the fsync policy.
 func (s *Store) Policy() Policy { return s.policy }
@@ -165,12 +153,11 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// AppendHist returns the log-append latency histogram (nanoseconds,
-// one stripe per shard).
+// AppendHist returns the log-append latency histogram (nanoseconds).
 func (s *Store) AppendHist() *obs.Histogram { return s.appendHist }
 
 // SyncHist returns the group-commit fsync-round latency histogram
-// (nanoseconds; a round covers every dirty shard log).
+// (nanoseconds).
 func (s *Store) SyncHist() *obs.Histogram { return s.syncHist }
 
 // Err returns the store's sticky failure, if any: the first disk error
@@ -203,54 +190,32 @@ func (s *Store) fail(err error) {
 // record against every other committed update on its shards.
 func (s *Store) NextSeq() uint64 { return s.seq.Add(1) }
 
-// Append writes recs to their shards' logs. It issues the writes but
-// does not wait for fsync — callers needing durability-before-ack follow
-// with Sync (group commit). Records must already carry their Seq and
-// Shard fields; consecutive same-shard records coalesce into one write.
+// Append writes recs to the log, one write per call. It does not wait
+// for fsync — callers needing durability-before-ack follow with Sync
+// (group commit). Records must already carry their Seq. A failed write
+// makes the failure sticky before mu is released, so no later Append
+// can land behind a torn record and be acknowledged.
 func (s *Store) Append(recs []Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.Err(); err != nil {
 		return err
 	}
-	var firstErr error
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1
-		for hi < len(recs) && recs[hi].Shard == recs[lo].Shard {
-			hi++
-		}
-		if err := s.appendRun(recs[lo:hi]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		lo = hi
-	}
-	s.records.Add(uint64(len(recs)))
-	if firstErr != nil {
-		s.fail(firstErr)
-	}
-	return firstErr
-}
-
-// appendRun writes a run of records for one shard under its log mutex.
-func (s *Store) appendRun(recs []Record) error {
-	sh := recs[0].Shard
-	if sh < 0 || sh >= s.k {
-		return fmt.Errorf("persist: record routed to shard %d of %d", sh, s.k)
-	}
-	lg := s.logs[sh]
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	lg.buf = lg.buf[:0]
+	s.buf = s.buf[:0]
 	for i := range recs {
-		lg.buf = appendRecord(lg.buf, &recs[i])
+		s.buf = appendRecord(s.buf, &recs[i])
 	}
 	t0 := time.Now()
-	n, err := lg.f.Write(lg.buf)
-	s.appendHist.Observe(sh, uint64(time.Since(t0)))
+	n, err := s.f.Write(s.buf)
+	s.appendHist.Observe(0, uint64(time.Since(t0)))
+	s.dirty = true
 	s.bytes.Add(uint64(n))
-	lg.dirty.Store(true)
+	s.records.Add(uint64(len(recs)))
 	if err != nil {
-		return fmt.Errorf("persist: appending to shard %d log: %w", sh, err)
+		err = fmt.Errorf("persist: appending to log: %w", err)
+		s.fail(err)
 	}
-	return nil
+	return err
 }
 
 // Sync waits for a group-commit round that covers every write issued
@@ -300,32 +265,26 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// syncRound takes the registered waiters, fsyncs every dirty log, and
-// releases them. Waiters registered before the round starts have their
-// writes already issued, so the fsyncs that follow cover them.
+// syncRound takes the registered waiters, fsyncs the log if it was
+// written since the last fsync, and releases them. Waiters registered
+// before the round starts have their writes already issued, so the
+// fsync that follows covers them (see Store.mu).
 func (s *Store) syncRound() {
 	s.waitMu.Lock()
 	ws := s.waiters
 	s.waiters = nil
 	s.waitMu.Unlock()
-	synced := false
-	t0 := time.Now()
-	for _, lg := range s.logs {
-		if !lg.dirty.Swap(false) {
-			continue
-		}
-		lg.mu.Lock()
-		err := lg.f.Sync()
-		lg.mu.Unlock()
-		if err != nil {
+	s.mu.Lock()
+	if s.dirty {
+		s.dirty = false
+		t0 := time.Now()
+		if err := s.f.Sync(); err != nil {
 			s.fail(fmt.Errorf("persist: fsync: %w", err))
 		}
-		synced = true
-	}
-	if synced {
 		s.syncs.Add(1)
 		s.syncHist.Observe(0, uint64(time.Since(t0)))
 	}
+	s.mu.Unlock()
 	for _, ch := range ws {
 		close(ch)
 	}
@@ -336,7 +295,7 @@ func (s *Store) syncRound() {
 // a sequence watermark S such that, on every shard, exactly the updates
 // with Seq < S are reflected in the snapshot — the server implements it
 // as an identity transaction over all shards that calls NextSeq inside
-// its callback. The store rotates every log to a new segment generation
+// its callback. The store rotates the log to a new segment generation
 // first, so records racing the checkpoint keep accumulating in files
 // that survive; the old segments are deleted only after the new
 // checkpoint is durably in place. Crash-safe at every step.
@@ -373,33 +332,38 @@ func (s *Store) Checkpoint(capture func() (rows [][]uint64, watermark uint64, er
 	return nil
 }
 
-// rotate moves every shard log to the next segment generation, fsyncing
-// and closing the old files.
+// rotate moves the log to the next segment generation. It fsyncs the
+// retired file under mu and fails the store before releasing mu if that
+// fsync fails, so no group-commit round can release a waiter whose
+// records sit in the retired file before they are durable.
 func (s *Store) rotate() error {
 	s.gen++
-	for i, lg := range s.logs {
-		f, err := s.openLog(filepath.Join(s.dir, segName(i, s.gen)))
-		if err != nil {
-			return fmt.Errorf("persist: rotating shard %d log: %w", i, err)
-		}
-		lg.mu.Lock()
-		old := lg.f
-		lg.f = f
-		lg.mu.Unlock()
-		if err := old.Sync(); err != nil {
-			old.Close()
-			return fmt.Errorf("persist: syncing retired shard %d log: %w", i, err)
-		}
-		if err := old.Close(); err != nil {
-			return fmt.Errorf("persist: closing retired shard %d log: %w", i, err)
-		}
+	f, err := s.openLog(filepath.Join(s.dir, logName(s.gen)))
+	if err != nil {
+		return fmt.Errorf("persist: rotating log: %w", err)
+	}
+	s.mu.Lock()
+	old := s.f
+	s.f, s.dirty = f, false
+	if err = old.Sync(); err != nil {
+		err = fmt.Errorf("persist: syncing retired log: %w", err)
+		s.fail(err)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		old.Close()
+		return err
+	}
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("persist: closing retired log: %w", err)
 	}
 	return syncDir(s.dir)
 }
 
-// Close runs a final group-commit round, stops the syncer, and fsyncs
-// and closes every log. The caller must have stopped appending (the
-// server's Close drains every connection first).
+// Close runs a final group-commit round, stops the syncer, and closes
+// the log; the final round has fsynced whatever was written. The caller
+// must have stopped appending (the server's Close drains every
+// connection first).
 func (s *Store) Close() error {
 	s.close1.Do(func() {
 		s.waitMu.Lock()
@@ -407,29 +371,27 @@ func (s *Store) Close() error {
 		s.waitMu.Unlock()
 		close(s.stop)
 		<-s.done
-		for i, lg := range s.logs {
-			lg.mu.Lock()
-			if err := lg.f.Sync(); err != nil {
-				s.fail(fmt.Errorf("persist: closing shard %d log: %w", i, err))
-			}
-			if err := lg.f.Close(); err != nil {
-				s.fail(fmt.Errorf("persist: closing shard %d log: %w", i, err))
-			}
-			lg.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.f.Close(); err != nil {
+			s.fail(fmt.Errorf("persist: closing log: %w", err))
 		}
 	})
 	return s.Err()
 }
 
-// segName is the segment filename for one shard at one generation.
-func segName(shardI int, gen uint64) string {
-	return fmt.Sprintf("shard-%04d-%08d.log", shardI, gen)
+// logName is the segment filename at one generation.
+func logName(gen uint64) string {
+	return fmt.Sprintf("log-%08d.log", gen)
 }
 
-var segRE = regexp.MustCompile(`^shard-(\d+)-(\d+)\.log$`)
+// segRE matches a segment filename and captures its generation: the
+// one-log layout's log-GGGGGGGG.log, and a v1 directory's per-shard
+// shard-SSSS-GGGGGGGG.log, which recovery reads and the first
+// checkpoint deletes.
+var segRE = regexp.MustCompile(`^(?:log|shard-\d+)-(\d+)\.log$`)
 
-// listSegments returns dir's segment files as (path, shard, gen)
-// tuples, sorted by shard then generation.
+// listSegments returns dir's segment files in filename order.
 func listSegments(dir string) ([]segment, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -441,26 +403,18 @@ func listSegments(dir string) ([]segment, error) {
 		if m == nil {
 			continue
 		}
-		sh, err1 := strconv.Atoi(m[1])
-		gen, err2 := strconv.ParseUint(m[2], 10, 64)
-		if err1 != nil || err2 != nil {
+		gen, err := strconv.ParseUint(m[1], 10, 64)
+		if err != nil {
 			continue
 		}
-		segs = append(segs, segment{path: filepath.Join(dir, ent.Name()), shard: sh, gen: gen})
+		segs = append(segs, segment{path: filepath.Join(dir, ent.Name()), gen: gen})
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].shard != segs[j].shard {
-			return segs[i].shard < segs[j].shard
-		}
-		return segs[i].gen < segs[j].gen
-	})
 	return segs, nil
 }
 
 type segment struct {
-	path  string
-	shard int
-	gen   uint64
+	path string
+	gen  uint64
 }
 
 // removeSegments deletes every segment at or below gen.
@@ -589,10 +543,11 @@ func recoverInto(dir string, m *shard.Map) (Recovery, uint64, uint64, error) {
 		if err != nil {
 			return rec, 0, 0, fmt.Errorf("persist: %w", err)
 		}
-		if sg.shard < k {
-			// A segment holds mostly its own shard's single-key records,
-			// the smallest kind at 26+8·W bytes: size the fold for them.
-			folds[sg.shard].grow(len(data)/(26+8*w), w)
+		// Size each shard's fold for its share of the segment's records,
+		// counted as the smallest kind, single-key at 26+8·W bytes.
+		share := len(data) / (26 + 8*w) / k
+		for i := range folds {
+			folds[i].grow(share, w)
 		}
 		good, err := scanRecords(data, w, func(req *wire.Request) {
 			maxSeq = max(maxSeq, req.ID)
@@ -621,7 +576,7 @@ func recoverInto(dir string, m *shard.Map) (Recovery, uint64, uint64, error) {
 		if good == 0 {
 			// Open writes to a new generation and maxGen has seen this
 			// one, so an empty segment serves no later recovery: remove
-			// it, or every Open would leave K more. A failed remove
+			// it, or every Open would leave one more. A failed remove
 			// leaves an empty file, which the next recovery removes.
 			_ = os.Remove(sg.path)
 		}
@@ -662,8 +617,8 @@ func (f *shardFold) add(seq uint64, mode wire.Mode, args []uint64) {
 }
 
 // apply merges the shard's entries into row in commit order. Records
-// reach the files out of Seq order under concurrent connections, and a
-// multi-key record sits in its lowest shard's file, so the entries are
+// reach the log out of Seq order under concurrent connections, and a v1
+// directory spreads them over per-shard files, so the entries are
 // sorted when they arrived out of order. Equal Seqs are one multi-key
 // record's keys on this shard; they alias one row and merge in key
 // order, which is their arrival order.
@@ -679,25 +634,35 @@ func (f *shardFold) apply(row []uint64, w int) {
 
 // metaFile pins the directory to one map geometry so a daemon restarted
 // with different -shards/-words fails loudly even before the first
-// checkpoint exists.
-const metaFile = "meta"
+// checkpoint exists. Its version names the segment layout: v1 kept one
+// log per shard, v2 keeps one log.
+const (
+	metaFile   = "meta"
+	metaFormat = "mwllsc persist v%d\nk=%d\nw=%d\n"
+)
 
-// checkMeta validates dir's geometry stamp, writing it on first use.
+// checkMeta validates dir's geometry stamp, writing a v2 stamp on first
+// use. It restamps a v1 directory as v2 before Open writes any one-log
+// segment, so a build that reads only per-shard segments refuses the
+// directory instead of recovering without the log it cannot see.
 func checkMeta(dir string, k, w int) error {
-	path := filepath.Join(dir, metaFile)
-	data, err := os.ReadFile(path)
+	stamp := fmt.Appendf(nil, metaFormat, 2, k, w)
+	data, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if os.IsNotExist(err) {
-		return writeFileDurable(dir, metaFile, fmt.Appendf(nil, "mwllsc persist v1\nk=%d\nw=%d\n", k, w))
+		return writeFileDurable(dir, metaFile, stamp)
 	}
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	var mk, mw int
-	if _, err := fmt.Sscanf(string(data), "mwllsc persist v1\nk=%d\nw=%d\n", &mk, &mw); err != nil {
+	var v, mk, mw int
+	if _, err := fmt.Sscanf(string(data), metaFormat, &v, &mk, &mw); err != nil || v < 1 || v > 2 {
 		return fmt.Errorf("persist: %s is not a durability directory (bad meta file)", dir)
 	}
 	if mk != k || mw != w {
 		return fmt.Errorf("persist: %s was created for K=%d W=%d, map is K=%d W=%d", dir, mk, mw, k, w)
+	}
+	if v == 1 {
+		return writeFileDurable(dir, metaFile, stamp)
 	}
 	return nil
 }

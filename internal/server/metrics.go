@@ -132,7 +132,7 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			func() uint64 { return st.Stats().Checkpoints })
 		reg.Gauge("llscd_persist_seq", "Current commit sequence number.",
 			func() uint64 { return st.Stats().Seq })
-		reg.Histogram("llscd_persist_append_seconds", "Per-shard log append (write syscall) latency.",
+		reg.Histogram("llscd_persist_append_seconds", "Durability log append latency: one write syscall per batch.",
 			1e-9, st.AppendHist())
 		reg.Histogram("llscd_persist_fsync_seconds", "Group-commit fsync round latency.",
 			1e-9, st.SyncHist())

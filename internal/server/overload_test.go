@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -117,6 +119,55 @@ func TestMaxConnsShed(t *testing.T) {
 	sendReq(t, c4, &wire.Request{ID: 4, Op: wire.OpPing})
 	if resp := readResp(t, c4); resp.Status != wire.StatusOK {
 		t.Fatalf("readmitted conn got %v", resp.Status)
+	}
+}
+
+// emfileListener fails its first Accept the way a process out of file
+// descriptors does.
+type emfileListener struct {
+	net.Listener
+	failed bool
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if !l.failed {
+		l.failed = true
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptErrorKeepsServing pins that a failed Accept other than a
+// closed listener does not stop the server: running out of file
+// descriptors must shed connections, not take the daemon down.
+func TestAcceptErrorKeepsServing(t *testing.T) {
+	m, err := shard.NewMap(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m)
+	s.listener = &emfileListener{Listener: l}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve() }()
+	defer s.Close()
+
+	c := rawDial(t, l.Addr().String())
+	sendReq(t, c, &wire.Request{ID: 1, Op: wire.OpPing})
+	if resp := readResp(t, c); resp.ID != 1 || resp.Status != wire.StatusOK {
+		t.Fatalf("ping answered %+v", resp)
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned %v after one failed Accept", err)
+	default:
+	}
+	s.Close()
+	if err := <-served; !errors.Is(err, ErrClosed) {
+		t.Fatalf("Serve returned %v after Close, want ErrClosed", err)
 	}
 }
 

@@ -76,12 +76,13 @@ func WithTracer(t *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
 
-// WithPersist attaches a durability store (internal/persist): every
-// committed Update/UpdateMulti is appended to the store's per-shard log
-// after its batch executes — outside the registry slot, so disk I/O
-// never pins a process id — and, under persist.SyncAlways, the batch's
-// responses are held until a group-commit fsync covers its records. The
-// store must have been opened over the same map this server serves.
+// WithPersist attaches a durability store (internal/persist): a batch's
+// committed Updates and UpdateMultis are appended to the store's log in
+// one write after the batch executes — outside the registry slot, so
+// disk I/O never pins a process id — and, under persist.SyncAlways, the
+// batch's responses are held until a group-commit fsync covers its
+// records. The store must have been opened over the same map this
+// server serves.
 func WithPersist(st *persist.Store) Option {
 	return func(s *Server) { s.persist = st }
 }
@@ -232,7 +233,10 @@ func (s *Server) Addr() net.Addr {
 
 // Serve accepts connections on the listener bound by Listen until Close.
 // It always returns a non-nil error; after a clean Close that error is
-// ErrClosed.
+// ErrClosed, and it returns before Close only when the listener is
+// closed under it. Any other Accept error, such as running out of file
+// descriptors, is logged and retried after a backoff that starts at
+// 5 ms and doubles up to 1 s.
 func (s *Server) Serve() error {
 	s.mu.Lock()
 	l := s.listener
@@ -244,6 +248,7 @@ func (s *Server) Serve() error {
 	if closed {
 		return ErrClosed
 	}
+	var delay time.Duration // backoff after a failed Accept, as net/http does
 	for {
 		c, err := l.Accept()
 		if err != nil {
@@ -253,8 +258,16 @@ func (s *Server) Serve() error {
 			if closed {
 				return ErrClosed
 			}
-			return err
+			if errors.Is(err, net.ErrClosed) {
+				return err
+			}
+			// Transient, such as EMFILE: back off and keep serving.
+			delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+			s.logf("server: accept: %v; retrying in %v", err, delay)
+			time.Sleep(delay)
+			continue
 		}
+		delay = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -1002,15 +1015,7 @@ func (s *Server) update(cs *connState, h *shard.MapHandle, p int, req *wire.Requ
 	if rec == nil {
 		return
 	}
-	rec.Op, rec.Mode, rec.Args = req.Op, req.Mode, req.Args
-	if !multi {
-		rec.Key, rec.Shard = req.Key, s.m.ShardIndex(req.Key)
-		return
-	}
-	rec.Keys, rec.Shard = req.Keys, s.m.ShardIndex(req.Keys[0])
-	for _, k := range req.Keys[1:] {
-		rec.Shard = min(rec.Shard, s.m.ShardIndex(k))
-	}
+	rec.Op, rec.Mode, rec.Key, rec.Keys, rec.Args = req.Op, req.Mode, req.Key, req.Keys, req.Args
 }
 
 // badUpdate returns why the Update or UpdateMulti req cannot run on a

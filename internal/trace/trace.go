@@ -221,9 +221,12 @@ type Tracer struct {
 	retired uint64 // spans retired; the next goes to recent[retired%len]
 	slow    []slowEntry
 	// slowFloor is the window's smallest total when the last span to
-	// enter it found every slot live, else 0. Retire scans the window
-	// only for a span above it (or past the threshold).
+	// enter it found every slot live, else 0, and slowLapse is when the
+	// oldest of those slots expires. Retire scans the window only for a
+	// span above the floor, past the threshold, or retired after
+	// slowLapse, when an expired slot has room for any span.
 	slowFloor uint64
+	slowLapse time.Time
 
 	// exemplar-lite: the trace id + latency of the slowest span since
 	// the last Exemplar() read, linking histogram tails to traces.
@@ -291,8 +294,11 @@ func (t *Tracer) Retire(s *Span) {
 	if s.Total > t.exLat {
 		t.exLat, t.exID = s.Total, s.TraceID
 	}
-	if slow || s.Total > t.slowFloor {
-		t.offerSlow(s, time.Now())
+	// s.mark, the stamp Finish left, dates s in the slow window: the
+	// server finishes a span just before retiring it, so no clock read
+	// is needed here.
+	if slow || s.Total > t.slowFloor || s.mark.After(t.slowLapse) {
+		t.offerSlow(s, s.mark)
 	}
 	t.mu.Unlock()
 
@@ -305,8 +311,8 @@ func (t *Tracer) Retire(s *Span) {
 
 // offerSlow puts s into the slowest-N window in place of the best
 // victim: an empty or expired slot first, else the smallest total if
-// s's total is at least that. It then recomputes the floor. t.mu is
-// held.
+// s's total is at least that. It then recomputes the floor and its
+// lapse. t.mu is held.
 func (t *Tracer) offerSlow(s *Span, now time.Time) {
 	victim, victimTotal := 0, ^uint64(0)
 	for i := range t.slow {
@@ -323,7 +329,7 @@ func (t *Tracer) offerSlow(s *Span, now time.Time) {
 		return
 	}
 	t.slow[victim] = slowEntry{span: *s, seen: now}
-	t.slowFloor = ^uint64(0)
+	t.slowFloor, t.slowLapse = ^uint64(0), now.Add(slowWindow)
 	for i := range t.slow {
 		e := &t.slow[i]
 		if now.Sub(e.seen) > slowWindow {
@@ -331,6 +337,9 @@ func (t *Tracer) offerSlow(s *Span, now time.Time) {
 			return
 		}
 		t.slowFloor = min(t.slowFloor, e.span.Total)
+		if lapse := e.seen.Add(slowWindow); lapse.Before(t.slowLapse) {
+			t.slowLapse = lapse
+		}
 	}
 }
 

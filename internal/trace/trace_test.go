@@ -111,6 +111,25 @@ func TestSlowWindowKeepsSlowest(t *testing.T) {
 	}
 }
 
+// TestSlowWindowFloorLapses pins that the window's floor does not
+// outlive the spans that set it: once they expire, faster spans must
+// enter the window instead of being held off by the stale floor.
+func TestSlowWindowFloorLapses(t *testing.T) {
+	tr := New(Config{SlowN: 2, Recent: 8})
+	old := time.Now().Add(-2 * slowWindow)
+	tr.mu.Lock()
+	for id := uint64(1); id <= 2; id++ {
+		tr.offerSlow(&Span{TraceID: id, Total: uint64(5 * time.Millisecond)}, old)
+	}
+	tr.mu.Unlock()
+	for i := range 10 {
+		retireOne(tr, uint64(10+i), time.Millisecond)
+	}
+	if got := tr.Slow(nil); len(got) != 2 {
+		t.Fatalf("slow window holds %d spans after the 5 ms spans expired, want 2", len(got))
+	}
+}
+
 func TestSlowThresholdLogsStructuredLine(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
