@@ -98,19 +98,8 @@ func run(args []string) int {
 		tables = append(tables, t)
 	}
 	if *jsonOut != "" {
-		report := bench.NewReport(tables)
-		out := os.Stdout
-		if !jsonOnly {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "llscbench: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := report.WriteJSON(out); err != nil {
-			fmt.Fprintf(os.Stderr, "llscbench: writing JSON report: %v\n", err)
+		if err := bench.WriteReport(*jsonOut, tables, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "llscbench: %v\n", err)
 			return 1
 		}
 	}

@@ -134,19 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *jsonOut != "" {
-		report := bench.NewReport(tables)
-		out := stdout
-		if !jsonOnly {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "llscload: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := report.WriteJSON(out); err != nil {
-			fmt.Fprintf(stderr, "llscload: writing JSON report: %v\n", err)
+		if err := bench.WriteReport(*jsonOut, tables, stdout); err != nil {
+			fmt.Fprintf(stderr, "llscload: %v\n", err)
 			return 1
 		}
 	}
@@ -180,8 +169,8 @@ func traceTable(traces []client.Trace, target string) *bench.Table {
 		name string
 		tr   client.Trace
 	}{
-		{"p50", traces[len(traces)/2]},
-		{"p99", traces[len(traces)*99/100]},
+		{"p50", bench.Quantile(traces, 0.50)},
+		{"p99", bench.Quantile(traces, 0.99)},
 	}
 	us := func(ns uint64) float64 { return float64(ns) / 1e3 }
 	for _, r := range rows {

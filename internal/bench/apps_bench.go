@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,8 @@ import (
 )
 
 // snapshotScanThroughput measures scans/sec of a C-component snapshot with
-// one writer and g-1 scanners over the given multiword implementation.
+// one writer (worker 0) and g-1 scanners over the given multiword
+// implementation.
 func snapshotScanThroughput(f mwobj.Factory, n, comps, g int, dur time.Duration) (float64, error) {
 	if g < 2 || g > n {
 		return 0, fmt.Errorf("bench: need 2 <= g <= n, got g=%d n=%d", g, n)
@@ -22,46 +22,28 @@ func snapshotScanThroughput(f mwobj.Factory, n, comps, g int, dur time.Duration)
 	if err != nil {
 		return 0, err
 	}
-	var (
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		scans = make([]int64, g)
-	)
-	start := time.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := uint64(1); !stop.Load(); i++ {
-			snap.Update(0, int(i)%comps, i)
-		}
-	}()
-	for p := 1; p < g; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			dst := make([]uint64, comps)
-			for !stop.Load() {
-				for i := 0; i < 32; i++ {
-					snap.Scan(p, dst)
-					scans[p]++
-				}
+	secs, scans, _ := runWorkers(g, dur, func(p int, stop *atomic.Bool) (scans, _ int64) {
+		if p == 0 {
+			for i := uint64(1); !stop.Load(); i++ {
+				snap.Update(0, int(i)%comps, i)
 			}
-		}(p)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var total int64
-	for _, s := range scans {
-		total += s
-	}
-	return float64(total) / elapsed, nil
+			return 0, 0
+		}
+		dst := make([]uint64, comps)
+		for !stop.Load() {
+			for i := 0; i < 32; i++ {
+				snap.Scan(p, dst)
+				scans++
+			}
+		}
+		return scans, 0
+	})
+	return float64(scans) / secs, nil
 }
 
 // queueThroughput measures enqueue+dequeue ops/sec of the wait-free queue
-// (2 producers + 2 consumers) built on the given implementation.
+// (workers 0 and 1 produce, 2 and 3 consume) built on the given
+// implementation.
 func queueThroughput(f mwobj.Factory, n int, dur time.Duration) (float64, error) {
 	if n < 4 {
 		return 0, fmt.Errorf("bench: queue throughput needs n >= 4")
@@ -70,46 +52,21 @@ func queueThroughput(f mwobj.Factory, n int, dur time.Duration) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	var (
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		ops  = make([]int64, 4)
-	)
-	start := time.Now()
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for v := uint64(1); !stop.Load(); v++ {
-				if q.Enqueue(i, v) {
-					ops[i]++
-				} else {
-					runtime.Gosched()
-				}
+	secs, ops, _ := runWorkers(4, dur, func(i int, stop *atomic.Bool) (ops, _ int64) {
+		for v := uint64(1); !stop.Load(); v++ {
+			var ok bool
+			if i < 2 {
+				ok = q.Enqueue(i, v)
+			} else {
+				_, ok = q.Dequeue(i)
 			}
-		}(i)
-	}
-	for i := 2; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for !stop.Load() {
-				if _, ok := q.Dequeue(i); ok {
-					ops[i]++
-				} else {
-					runtime.Gosched()
-				}
+			if ok {
+				ops++
+			} else {
+				runtime.Gosched()
 			}
-		}(i)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var total int64
-	for _, o := range ops {
-		total += o
-	}
-	return float64(total) / elapsed, nil
+		}
+		return ops, 0
+	})
+	return float64(ops) / secs, nil
 }

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,17 +78,21 @@ func TestThroughputRuns(t *testing.T) {
 	}
 }
 
-func TestReadMostlyThroughputRuns(t *testing.T) {
-	f, err := impls.ByName(impls.JP)
-	if err != nil {
-		t.Fatal(err)
+// TestRunWorkersSumsCounts: each worker spins until stop and reports
+// (i+1, 2(i+1)) once; the runner must sum them and time the whole window.
+func TestRunWorkersSumsCounts(t *testing.T) {
+	const dur = 20 * time.Millisecond
+	secs, a, b := runWorkers(3, dur, func(i int, stop *atomic.Bool) (int64, int64) {
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+		return int64(i + 1), int64(2 * (i + 1))
+	})
+	if a != 6 || b != 12 {
+		t.Fatalf("sums = (%d, %d), want (6, 12)", a, b)
 	}
-	reads, err := ReadMostlyThroughput(f, 4, 8, 3, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reads <= 0 {
-		t.Fatal("zero read throughput")
+	if secs < dur.Seconds() {
+		t.Fatalf("elapsed %vs, shorter than the %v window", secs, dur)
 	}
 }
 
@@ -174,5 +181,26 @@ func TestE2SpaceRatioGrowsWithN(t *testing.T) {
 	}
 	if prev < 16 {
 		t.Fatalf("ratio at n=64 is %.1f, expected the factor-N separation to exceed 16", prev)
+	}
+}
+
+// TestE2ReportsEveryImpl: built with every implementation, E2 has a
+// words and a KiB column for each, and every row fills every column.
+func TestE2ReportsEveryImpl(t *testing.T) {
+	tb, err := E2Space(Options{Impls: impls.Names()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range impls.Names() {
+		for _, col := range []string{name + " words", name + " phys KiB"} {
+			if !slices.Contains(tb.Cols, col) {
+				t.Fatalf("E2 has no %q column: %v", col, tb.Cols)
+			}
+		}
+	}
+	for _, row := range tb.Rows {
+		if len(row) != len(tb.Cols) {
+			t.Fatalf("row %v has %d cells for %d columns", row, len(row), len(tb.Cols))
+		}
 	}
 }

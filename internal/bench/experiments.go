@@ -3,10 +3,12 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"mwllsc/internal/core"
 	"mwllsc/internal/impls"
+	"mwllsc/internal/mwobj"
 	"mwllsc/internal/sim"
 )
 
@@ -100,38 +102,52 @@ func E1TimeComplexity(o Options) (*Table, error) {
 }
 
 // E2Space builds the headline space table: footprint vs N at several W,
-// paper accounting and physical bytes, with the AM/JP ratio that the paper
-// predicts to be Θ(N).
+// paper accounting and physical bytes for every selected implementation,
+// with the AM/JP ratios that the paper predicts to be Θ(N) when both are
+// selected.
 func E2Space(o Options) (*Table, error) {
 	o = o.withDefaults()
 	t := &Table{
 		Title: "E2: space vs N and W — paper accounting (64-bit words) and physical bytes",
 		Note:  "paper: JP = O(NW) vs previous best O(N^2 W); the am/jp ratio column should grow ~linearly with N.",
-		Cols: []string{"N", "W", "jp words", "amstyle words", "ratio",
-			"jp phys KiB", "amstyle phys KiB", "phys ratio"},
+		Cols:  []string{"N", "W"},
 	}
-	jp, err := impls.ByName(impls.JP)
-	if err != nil {
-		return nil, err
-	}
-	am, err := impls.ByName("amstyle")
-	if err != nil {
-		return nil, err
+	ratios := slices.Contains(o.Impls, impls.JP) && slices.Contains(o.Impls, "amstyle")
+	for _, c := range [][2]string{{" words", "ratio"}, {" phys KiB", "phys ratio"}} {
+		for _, name := range o.Impls {
+			t.Cols = append(t.Cols, name+c[0])
+		}
+		if ratios {
+			t.Cols = append(t.Cols, c[1])
+		}
 	}
 	for _, w := range []int{4, 16, 64, 256} {
 		for _, n := range []int{2, 4, 8, 16, 32, 64, 128} {
-			js, err := SpaceOf(jp, n, w)
-			if err != nil {
-				return nil, err
+			var jp, am mwobj.Space
+			words, kib := []any{n, w}, []any{}
+			for _, name := range o.Impls {
+				f, err := impls.ByName(name)
+				if err != nil {
+					return nil, err
+				}
+				s, err := SpaceOf(f, n, w)
+				if err != nil {
+					return nil, err
+				}
+				switch name {
+				case impls.JP:
+					jp = s
+				case "amstyle":
+					am = s
+				}
+				words = append(words, s.PaperWords())
+				kib = append(kib, float64(s.PhysBytes)/1024)
 			}
-			as, err := SpaceOf(am, n, w)
-			if err != nil {
-				return nil, err
+			if ratios {
+				words = append(words, float64(am.PaperWords())/float64(jp.PaperWords()))
+				kib = append(kib, float64(am.PhysBytes)/float64(jp.PhysBytes))
 			}
-			t.AddRow(n, w, js.PaperWords(), as.PaperWords(),
-				float64(as.PaperWords())/float64(js.PaperWords()),
-				float64(js.PhysBytes)/1024, float64(as.PhysBytes)/1024,
-				float64(as.PhysBytes)/float64(js.PhysBytes))
+			t.AddRow(append(words, kib...)...)
 		}
 	}
 	return t, nil

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -10,8 +11,8 @@ import (
 )
 
 // Report is the machine-readable form of a benchmark run, written by
-// `llscbench -json` (and `llscload -json`) so runs can be archived and
-// diffed.
+// `llscbench -json` and `llscload -json` (WriteReport) so runs can be
+// archived and diffed.
 type Report struct {
 	// Tool identifies the producer ("llscbench").
 	Tool string `json:"tool"`
@@ -70,9 +71,9 @@ func (t *Table) JSON() TableJSON {
 	return tj
 }
 
-// NewReport assembles a Report from finished tables, stamping the
+// newReport assembles a Report from finished tables, stamping the
 // environment.
-func NewReport(tables []*Table) *Report {
+func newReport(tables []*Table) *Report {
 	host, _ := os.Hostname() // best-effort; omitted from the JSON on error
 	r := &Report{
 		Tool:       "llscbench",
@@ -94,5 +95,26 @@ func NewReport(tables []*Table) *Report {
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	if err := enc.Encode(r); err != nil {
+		return fmt.Errorf("writing JSON report: %w", err)
+	}
+	return nil
+}
+
+// WriteReport writes the tables as a JSON Report to the file at path,
+// or to stdout when path is "-".
+func WriteReport(path string, tables []*Table, stdout io.Writer) error {
+	r := newReport(tables)
+	if path == "-" {
+		return r.WriteJSON(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -54,6 +54,33 @@ func MeasureLatency(f mwobj.Factory, n, w, iters int) (Latency, error) {
 	return Latency{LL: per(ll), SC: sc, VL: per(vl)}, nil
 }
 
+// runWorkers starts g workers, sleeps for dur, raises stop and waits for
+// them; it returns the elapsed seconds and the sums of the two counts
+// the workers return. Worker i polls stop and counts in locals, reporting
+// once when it returns: per-operation stores to adjacent slots of a
+// shared slice share cache lines and would perturb the measurement.
+func runWorkers(g int, dur time.Duration, work func(i int, stop *atomic.Bool) (a, b int64)) (secs float64, a, b int64) {
+	var (
+		stop       atomic.Bool
+		wg         sync.WaitGroup
+		sumA, sumB atomic.Int64
+	)
+	start := time.Now()
+	for i := 0; i < g; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			x, y := work(i, &stop)
+			sumA.Add(x)
+			sumB.Add(y)
+		}(i)
+	}
+	time.Sleep(dur)
+	stop.Store(true)
+	wg.Wait()
+	return time.Since(start).Seconds(), sumA.Load(), sumB.Load()
+}
+
 // Throughput runs g goroutines (each bound to a distinct process id of an
 // n-process object, g <= n) doing LL;SC rounds for roughly dur, and
 // returns completed rounds per second plus the fraction of successful SCs.
@@ -65,96 +92,25 @@ func Throughput(f mwobj.Factory, n, w, g int, dur time.Duration) (opsPerSec, scS
 	if err != nil {
 		return 0, 0, err
 	}
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		rounds    = make([]int64, g)
-		successes = make([]int64, g)
-	)
-	start := time.Now()
-	for p := 0; p < g; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			v := make([]uint64, w)
-			for !stop.Load() {
-				// Batch the stop check to keep the loop tight.
-				for i := 0; i < 64; i++ {
-					obj.LL(p, v)
-					v[0]++
-					if obj.SC(p, v) {
-						successes[p]++
-					}
-					rounds[p]++
-				}
-			}
-		}(p)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var totalRounds, totalSucc int64
-	for p := 0; p < g; p++ {
-		totalRounds += rounds[p]
-		totalSucc += successes[p]
-	}
-	if totalRounds == 0 {
-		return 0, 0, fmt.Errorf("bench: no rounds completed")
-	}
-	return float64(totalRounds) / elapsed, float64(totalSucc) / float64(totalRounds), nil
-}
-
-// ReadMostlyThroughput runs one writer (LL;SC) and g-1 readers (LL only)
-// and returns reader ops/sec — the snapshot-style workload.
-func ReadMostlyThroughput(f mwobj.Factory, n, w, g int, dur time.Duration) (readsPerSec float64, err error) {
-	if g > n || g < 2 {
-		return 0, fmt.Errorf("bench: need 2 <= g <= n, got g=%d n=%d", g, n)
-	}
-	obj, err := f(n, w, mwtest.Pattern(0, w))
-	if err != nil {
-		return 0, err
-	}
-	var (
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		reads = make([]int64, g)
-	)
-	start := time.Now()
-	wg.Add(1)
-	go func() { // writer is process 0
-		defer wg.Done()
+	secs, rounds, successes := runWorkers(g, dur, func(p int, stop *atomic.Bool) (rounds, successes int64) {
 		v := make([]uint64, w)
 		for !stop.Load() {
-			obj.LL(0, v)
-			v[0]++
-			obj.SC(0, v)
-		}
-	}()
-	for p := 1; p < g; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			v := make([]uint64, w)
-			for !stop.Load() {
-				for i := 0; i < 64; i++ {
-					obj.LL(p, v)
-					reads[p]++
+			// Batch the stop check to keep the loop tight.
+			for i := 0; i < 64; i++ {
+				obj.LL(p, v)
+				v[0]++
+				if obj.SC(p, v) {
+					successes++
 				}
+				rounds++
 			}
-		}(p)
+		}
+		return rounds, successes
+	})
+	if rounds == 0 {
+		return 0, 0, fmt.Errorf("bench: no rounds completed")
 	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var total int64
-	for _, r := range reads {
-		total += r
-	}
-	return float64(total) / elapsed, nil
+	return float64(rounds) / secs, float64(successes) / float64(rounds), nil
 }
 
 // AllocsPerRound reports average heap allocations per LL+SC round for an

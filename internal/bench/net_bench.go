@@ -73,8 +73,10 @@ type latSampler struct {
 	rng  *rand.Rand
 }
 
+// newLatSampler starts with no buffer: E16's open loop runs 8,192
+// workers, most of which keep only a few latencies.
 func newLatSampler(seed uint64) *latSampler {
-	return &latSampler{kept: make([]time.Duration, 0, 4096), rng: rand.New(rand.NewPCG(seed, 0x6c617473))}
+	return &latSampler{rng: rand.New(rand.NewPCG(seed, 0x6c617473))}
 }
 
 func (s *latSampler) add(d time.Duration) {
@@ -84,6 +86,17 @@ func (s *latSampler) add(d time.Duration) {
 	} else if j := s.rng.Uint64N(s.seen); j < latencySamples {
 		s.kept[j] = d
 	}
+}
+
+// Quantile returns the element at quantile q (0 ≤ q ≤ 1) of a sorted
+// slice, or the zero value if it is empty: every percentile the load
+// loops and llscload report is read through it.
+func Quantile[T any](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
+	return sorted[min(int(float64(len(sorted))*q), len(sorted)-1)]
 }
 
 // traceSamples bounds per-worker trace collection, like latencySamples
@@ -207,8 +220,8 @@ func NetLoadClosedLoop(addr string, conns, workers, w int, dur time.Duration, tr
 		Ops:       total,
 		Errs:      totalErrs,
 		OpsPerSec: float64(total) / elapsed,
-		P50:       all[len(all)/2],
-		P99:       all[len(all)*99/100],
+		P50:       Quantile(all, 0.50),
+		P99:       Quantile(all, 0.99),
 		Lats:      all,
 	}
 	if someErr != nil {

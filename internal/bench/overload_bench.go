@@ -6,7 +6,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mwllsc/internal/client"
@@ -51,9 +50,11 @@ type sloResult struct {
 // overshoot by a millisecond). An operation's latency runs from its
 // arrival stamp to its response, so client-side queueing — the first
 // symptom of an overloaded server — is charged to the operation,
-// exactly as a caller upstream of this client would experience it. Arrivals that find all outstanding slots
-// taken are counted as dropped: by then the backlog alone guarantees
-// they would miss any SLO.
+// exactly as a caller upstream of this client would experience it.
+// Arrivals that find all outstanding slots taken are counted as
+// dropped: by then the backlog alone guarantees they would miss any
+// SLO. Each worker keeps a uniform sample of its latencies
+// (latSampler), as NetLoadClosedLoop's workers do.
 func netLoadOpenLoop(addr string, conns, w int, rate float64, outstanding int,
 	dur time.Duration, slo time.Duration, opts ...client.Option) (sloResult, error) {
 	c, err := client.Dial(addr, append([]client.Option{client.WithConns(conns)}, opts...)...)
@@ -63,17 +64,13 @@ func netLoadOpenLoop(addr string, conns, w int, rate float64, outstanding int,
 	defer c.Close()
 
 	var (
-		res     sloResult
-		okN     atomic.Int64
-		errN    atomic.Int64
-		sloN    atomic.Int64
-		wg      sync.WaitGroup
-		tokens  = make(chan time.Time, outstanding)
-		latMu   sync.Mutex
-		lats    []time.Duration
-		deltas  = make([]uint64, w)
-		ctx     = context.Background()
-		dropped int64
+		res    sloResult
+		mu     sync.Mutex
+		wg     sync.WaitGroup
+		tokens = make(chan time.Time, outstanding)
+		lats   []time.Duration
+		deltas = make([]uint64, w)
+		ctx    = context.Background()
 	)
 	deltas[0] = 1
 	for g := 0; g < outstanding; g++ {
@@ -81,26 +78,28 @@ func netLoadOpenLoop(addr string, conns, w int, rate float64, outstanding int,
 		go func(g int) {
 			defer wg.Done()
 			key := uint64(g) << 40
-			var local []time.Duration
+			lat := newLatSampler(uint64(g))
+			var ok, errs, within int64
 			for ts := range tokens {
 				key++
 				_, err := c.Add(ctx, shard.HashUint64(key), deltas)
-				lat := time.Since(ts)
+				d := time.Since(ts)
 				if err != nil {
-					errN.Add(1)
+					errs++
 					continue
 				}
-				okN.Add(1)
-				if lat <= slo {
-					sloN.Add(1)
+				ok++
+				if d <= slo {
+					within++
 				}
-				if len(local) < latencySamples/64 {
-					local = append(local, lat)
-				}
+				lat.add(d)
 			}
-			latMu.Lock()
-			lats = append(lats, local...)
-			latMu.Unlock()
+			mu.Lock()
+			res.ok += ok
+			res.errs += errs
+			res.withinSLO += within
+			lats = append(lats, lat.kept...)
+			mu.Unlock()
 		}(g)
 	}
 
@@ -120,7 +119,7 @@ func netLoadOpenLoop(addr string, conns, w int, rate float64, outstanding int,
 			case tokens <- start.Add(due):
 				res.genLate = max(res.genLate, elapsed-due)
 			default:
-				dropped++
+				res.dropped++
 			}
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -129,25 +128,12 @@ func netLoadOpenLoop(addr string, conns, w int, rate float64, outstanding int,
 	wg.Wait() // drain: at most `outstanding` stragglers past the window
 
 	res.elapsed = time.Since(start).Seconds()
-	res.ok, res.errs, res.dropped = okN.Load(), errN.Load(), dropped
-	res.withinSLO = sloN.Load()
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	res.lats = lats
 	if res.ok == 0 && res.errs == 0 {
 		return res, fmt.Errorf("bench: open-loop window completed no ops")
 	}
 	return res, nil
-}
-
-func quantile(lats []time.Duration, q float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	i := int(float64(len(lats)) * q)
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return lats[i]
 }
 
 // E16Overload builds the overload-control table: capacity under
@@ -333,7 +319,7 @@ func E16Overload(o Options) (*Table, error) {
 		goodput := float64(a.res.withinSLO) / a.res.elapsed
 		t.AddRow(name, "2x open", ovConns, admit,
 			float64(a.res.ok)/a.res.elapsed, goodput, 100*goodput/capGoodput,
-			ms(quantile(a.res.lats, 0.50)), ms(quantile(a.res.lats, 0.99)),
+			ms(Quantile(a.res.lats, 0.50)), ms(Quantile(a.res.lats, 0.99)),
 			a.busy, a.res.errs, a.res.dropped, ms(a.res.genLate))
 	}
 	addOv("overload", "off", off)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,52 +30,30 @@ func ShardedUpdateThroughput(name string, k, n, w, g int, yield bool, dur time.D
 	if err != nil {
 		return 0, err
 	}
-	var (
-		stop   atomic.Bool
-		wg     sync.WaitGroup
-		counts = make([]int64, g)
-	)
-	start := time.Now()
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := m.Acquire()
-			defer h.Release()
-			f := func(v []uint64) { v[0]++ }
-			if yield {
-				f = func(v []uint64) {
-					v[0]++
-					runtime.Gosched()
-				}
+	secs, total, _ := runWorkers(g, dur, func(i int, stop *atomic.Bool) (done, _ int64) {
+		h := m.Acquire()
+		defer h.Release()
+		f := func(v []uint64) { v[0]++ }
+		if yield {
+			f = func(v []uint64) {
+				v[0]++
+				runtime.Gosched()
 			}
-			// Count locally; adjacent counts[i] slots share cache lines
-			// and per-op stores there would perturb the measurement.
-			var done int64
-			ctr := uint64(i) << 32 // disjoint per-goroutine counter ranges
-			for !stop.Load() {
-				for j := 0; j < 64; j++ {
-					ctr++
-					h.Update(shard.HashUint64(ctr), f)
-					done++
-				}
+		}
+		ctr := uint64(i) << 32 // disjoint per-goroutine counter ranges
+		for !stop.Load() {
+			for j := 0; j < 64; j++ {
+				ctr++
+				h.Update(shard.HashUint64(ctr), f)
+				done++
 			}
-			counts[i] = done
-		}(i)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
+		}
+		return done, 0
+	})
 	if total == 0 {
 		return 0, fmt.Errorf("bench: no sharded updates completed")
 	}
-	return float64(total) / elapsed, nil
+	return float64(total) / secs, nil
 }
 
 // RegistryUpdateThroughput measures Update throughput on a single-shard
@@ -111,67 +88,45 @@ func RegistryUpdateThroughput(name, mode string, n, w, g int, dur time.Duration)
 	default:
 		return 0, fmt.Errorf("bench: unknown registry mode %q", mode)
 	}
-	var (
-		stop   atomic.Bool
-		wg     sync.WaitGroup
-		counts = make([]int64, g)
-	)
-	start := time.Now()
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var done int64 // local count; see ShardedUpdateThroughput
-			defer func() { counts[i] = done }()
-			switch mode {
-			case "raw":
-				v := make([]uint64, w)
-				for !stop.Load() {
-					for j := 0; j < 64; j++ {
-						for {
-							raw.LL(i, v)
-							v[0]++
-							if raw.SC(i, v) {
-								break
-							}
+	secs, total, _ := runWorkers(g, dur, func(i int, stop *atomic.Bool) (done, _ int64) {
+		switch mode {
+		case "raw":
+			v := make([]uint64, w)
+			for !stop.Load() {
+				for j := 0; j < 64; j++ {
+					for {
+						raw.LL(i, v)
+						v[0]++
+						if raw.SC(i, v) {
+							break
 						}
-						done++
 					}
+					done++
 				}
-			case "pinned":
-				h := m.Acquire()
-				defer h.Release()
-				for !stop.Load() {
-					for j := 0; j < 64; j++ {
-						h.Update(0, func(v []uint64) { v[0]++ })
-						done++
-					}
-				}
-			case "peracq":
-				for !stop.Load() {
-					for j := 0; j < 64; j++ {
-						m.Update(0, func(v []uint64) { v[0]++ })
-						done++
-					}
-				}
-			default:
-				panic("bench: unknown registry mode " + mode)
 			}
-		}(i)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
+		case "pinned":
+			h := m.Acquire()
+			defer h.Release()
+			for !stop.Load() {
+				for j := 0; j < 64; j++ {
+					h.Update(0, func(v []uint64) { v[0]++ })
+					done++
+				}
+			}
+		case "peracq":
+			for !stop.Load() {
+				for j := 0; j < 64; j++ {
+					m.Update(0, func(v []uint64) { v[0]++ })
+					done++
+				}
+			}
+		}
+		return done, 0
+	})
 	if total == 0 {
 		return 0, fmt.Errorf("bench: no registry-mode updates completed")
 	}
-	return float64(total) / elapsed, nil
+	return float64(total) / secs, nil
 }
 
 // E8Sharding builds the horizontal-scaling table: aggregate Update

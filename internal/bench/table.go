@@ -1,8 +1,8 @@
 // Package bench is the shared benchmark harness behind cmd/llscbench,
-// cmd/llscload, cmd/llscspace and the root bench_test.go: workload
-// generators, latency and throughput measurement, space accounting, and
-// table rendering (text, CSV, and JSON reports) for the experiments
-// listed in Experiments and cataloged in docs/BENCHMARKS.md.
+// cmd/llscload and the root bench_test.go: workload generators, latency
+// and throughput measurement, space accounting, and table rendering
+// (text, CSV, and JSON reports) for the experiments listed in
+// Experiments and cataloged in docs/BENCHMARKS.md.
 package bench
 
 import (

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,63 +34,15 @@ func TxnUpdateThroughput(name string, k, n, w, g, span, keyspace int, yield bool
 	if err != nil {
 		return 0, 0, err
 	}
-	var (
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		counts   = make([]int64, g)
-		attempts = make([]int64, g)
-	)
-	start := time.Now()
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := m.Acquire()
-			defer h.Release()
-			keys := make([]uint64, span)
-			f := func(vals [][]uint64) {
-				for _, v := range vals {
-					v[0]++
-				}
-			}
-			if yield {
-				f = func(vals [][]uint64) {
-					for _, v := range vals {
-						v[0]++
-					}
-					runtime.Gosched()
-				}
-			}
-			var done, tried int64
-			ctr := uint64(i) * 0x9e3779b97f4a7c15
-			for !stop.Load() {
-				for j := 0; j < 16; j++ {
-					ctr++
-					base := shard.HashUint64(ctr) % uint64(keyspace)
-					for t := range keys {
-						keys[t] = (base + uint64(t)) % uint64(keyspace)
-					}
-					tried += int64(h.UpdateMulti(keys, f))
-					done++
-				}
-			}
-			counts[i], attempts[i] = done, tried
-		}(i)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var total, tried int64
-	for i := range counts {
-		total += counts[i]
-		tried += attempts[i]
-	}
+	secs, total, tried := runWorkers(g, dur, func(i int, stop *atomic.Bool) (int64, int64) {
+		h := m.Acquire()
+		defer h.Release()
+		return commitSpans(h, i, span, keyspace, yield, stop)
+	})
 	if total == 0 {
 		return 0, 0, fmt.Errorf("bench: no transactions committed")
 	}
-	return float64(total) / elapsed, float64(tried) / float64(total), nil
+	return float64(total) / secs, float64(tried) / float64(total), nil
 }
 
 // TxnSnapshotThroughput measures SnapshotAtomic against write pressure:
@@ -110,64 +61,63 @@ func TxnSnapshotThroughput(name string, k, n, w, g, span, keyspace int, dur time
 	if err != nil {
 		return 0, 0, err
 	}
-	var (
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		snaps     int64
-		fallbacks int64
-	)
-	for i := 0; i < g-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := m.Acquire()
-			defer h.Release()
-			keys := make([]uint64, span)
-			f := func(vals [][]uint64) {
-				for _, v := range vals {
-					v[0]++
-				}
-			}
-			ctr := uint64(i) * 0x9e3779b97f4a7c15
-			for !stop.Load() {
-				for j := 0; j < 16; j++ {
-					ctr++
-					base := shard.HashUint64(ctr) % uint64(keyspace)
-					for t := range keys {
-						keys[t] = (base + uint64(t)) % uint64(keyspace)
-					}
-					h.UpdateMulti(keys, f)
-				}
-			}
-		}(i)
-	}
-	start := time.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	secs, snaps, fallbacks := runWorkers(g, dur, func(i int, stop *atomic.Bool) (snaps, fallbacks int64) {
 		h := m.Acquire()
 		defer h.Release()
-		buf := m.NewSnapshotBuffer()
-		var done, fell int64
-		for { // at least one snapshot, even if the window already closed
-			if h.SnapshotAtomic(buf) > txn.SnapshotRetries {
-				fell++
-			}
-			done++
-			if stop.Load() {
-				break
+		if i == 0 { // the auditor
+			buf := m.NewSnapshotBuffer()
+			for { // at least one snapshot, even if the window already closed
+				if h.SnapshotAtomic(buf) > txn.SnapshotRetries {
+					fallbacks++
+				}
+				snaps++
+				if stop.Load() {
+					return snaps, fallbacks
+				}
 			}
 		}
-		snaps, fallbacks = done, fell
-	}()
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
+		commitSpans(h, i, span, keyspace, false, stop)
+		return 0, 0
+	})
 	if snaps == 0 {
 		return 0, 0, fmt.Errorf("bench: no snapshots completed")
 	}
-	return float64(snaps) / elapsed, float64(fallbacks) / float64(snaps), nil
+	return float64(snaps) / secs, float64(fallbacks) / float64(snaps), nil
+}
+
+// commitSpans is one transaction writer: until stop it commits
+// UpdateMulti transactions through h over span consecutive keys from a
+// keyspace-sized window, drawing window starts from worker i's own hash
+// stream, and returns the commits and the collect-lock attempts they
+// took. With yield set, the transaction function yields the scheduler.
+func commitSpans(h *shard.MapHandle, i, span, keyspace int, yield bool, stop *atomic.Bool) (done, tried int64) {
+	keys := make([]uint64, span)
+	f := func(vals [][]uint64) {
+		for _, v := range vals {
+			v[0]++
+		}
+	}
+	if yield {
+		f = func(vals [][]uint64) {
+			for _, v := range vals {
+				v[0]++
+			}
+			runtime.Gosched()
+		}
+	}
+	ctr := uint64(i) * 0x9e3779b97f4a7c15
+	for !stop.Load() {
+		for j := 0; j < 16; j++ {
+			ctr++
+			base := shard.HashUint64(ctr) % uint64(keyspace)
+			for t := range keys {
+				keys[t] = (base + uint64(t)) % uint64(keyspace)
+			}
+			tried += int64(h.UpdateMulti(keys, f))
+			done++
+		}
+	}
+	return done, tried
 }
 
 // E10Transactions builds the cross-shard transaction table: committed
