@@ -98,7 +98,7 @@ func run(args []string) int {
 		tables = append(tables, t)
 	}
 	if *jsonOut != "" {
-		if err := bench.WriteReport(*jsonOut, tables, os.Stdout); err != nil {
+		if err := bench.WriteReport(*jsonOut, "llscbench", tables, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "llscbench: %v\n", err)
 			return 1
 		}

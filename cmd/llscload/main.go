@@ -86,7 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer srv.Close()
 		target = a
-		fmt.Fprintf(stdout, "llscload: in-process llscd (K=%d N=%d W=%d) on %s\n", *shards, n, *words, target)
+		// The banner goes to stderr so that -json - leaves stdout pure JSON.
+		fmt.Fprintf(stderr, "llscload: in-process llscd (K=%d N=%d W=%d) on %s\n", *shards, n, *words, target)
 	}
 
 	// Preflight before spinning up workers: an unreachable or wedged
@@ -134,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *jsonOut != "" {
-		if err := bench.WriteReport(*jsonOut, tables, stdout); err != nil {
+		if err := bench.WriteReport(*jsonOut, "llscload", tables, stdout); err != nil {
 			fmt.Fprintf(stderr, "llscload: %v\n", err)
 			return 1
 		}

@@ -18,31 +18,48 @@ func TestRunInProcess(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code %d\nstderr: %s", code, errOut.String())
 	}
-	if s := out.String(); !strings.Contains(s, "ops/s") || !strings.Contains(s, "in-process llscd") {
+	if s := out.String(); !strings.Contains(s, "ops/s") {
 		t.Fatalf("unexpected output:\n%s", s)
+	}
+	if s := errOut.String(); !strings.Contains(s, "in-process llscd") {
+		t.Fatalf("no in-process banner on stderr:\n%s", s)
 	}
 }
 
 func TestRunJSONReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "load.json")
-	var out, errOut bytes.Buffer
-	code := run([]string{"-conns", "1", "-workers", "1", "-dur", "30ms", "-shards", "2", "-words", "1", "-json", path}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code %d\nstderr: %s", code, errOut.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report bench.Report
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("JSON report does not parse: %v", err)
-	}
-	if len(report.Experiments) != 1 || report.Experiments[0].ID != "e11" {
-		t.Fatalf("report experiments: %+v", report.Experiments)
-	}
-	if len(report.Experiments[0].Records) != 1 {
-		t.Fatalf("%d records, want 1", len(report.Experiments[0].Records))
+	for _, dst := range []string{path, "-"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-conns", "1", "-workers", "1", "-dur", "30ms", "-shards", "2", "-words", "1", "-json", dst}, &out, &errOut)
+		if code != 0 {
+			t.Fatalf("-json %s: exit code %d\nstderr: %s", dst, code, errOut.String())
+		}
+		data := out.Bytes()
+		if dst != "-" {
+			var err error
+			if data, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The whole output must be one JSON value: a banner before it
+		// fails Decode, anything after it shows in More.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var report bench.Report
+		if err := dec.Decode(&report); err != nil {
+			t.Fatalf("-json %s: JSON report does not parse: %v\n%s", dst, err, data)
+		}
+		if dec.More() {
+			t.Fatalf("-json %s: more than one JSON value:\n%s", dst, data)
+		}
+		if report.Tool != "llscload" {
+			t.Fatalf("-json %s: report tool = %q, want llscload", dst, report.Tool)
+		}
+		if len(report.Experiments) != 1 || report.Experiments[0].ID != "e11" {
+			t.Fatalf("-json %s: report experiments: %+v", dst, report.Experiments)
+		}
+		if len(report.Experiments[0].Records) != 1 {
+			t.Fatalf("-json %s: %d records, want 1", dst, len(report.Experiments[0].Records))
+		}
 	}
 }
 

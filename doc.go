@@ -103,26 +103,26 @@
 //
 // The wire protocol is a compact length-prefixed binary format with
 // request ids for pipelining: many requests ride one connection
-// concurrently and responses may return out of order. The server
-// gathers each connection's pipelined requests into batches executed
-// through a single registry acquisition (grouping single-key operations
-// by target shard); the client coalesces concurrent callers' requests
-// into few syscalls with no explicit batch API. Because closures do not
-// travel, remote updates are declarative: word-wise Add (wrapping) or
-// Set, single- or multi-key.
+// concurrently and are matched to their responses by id. The server
+// gathers each connection's pipelined requests into batches, each
+// executed in arrival order through a single registry acquisition; the
+// client coalesces concurrent callers' requests into few syscalls with
+// no explicit batch API. Because closures do not travel, remote updates
+// are declarative: word-wise Add (wrapping) or Set, single- or
+// multi-key.
 //
 // The consistency contract is the in-process one, unchanged. Client.Add,
 // Client.Set and Client.Read are linearizable on the key's shard exactly
 // like MapHandle.Update/Read; AddMulti/SetMulti are one cross-shard
 // atomic commit (the transaction layer above); Client.Snapshot is
 // per-shard atomic; Client.SnapshotAtomic is cross-shard linearizable.
-// Batching never reorders two operations on the same key from one
-// connection. A server can also be embedded in-process (NewServer) and
-// the map used locally at the same time — both sides share one registry
-// and one linearizable history. The benchmark (cmd/llscperf, workloads
-// rpc and pipelined) measures the served round trip over loopback, and
-// cmd/llscload drives a closed loop against any address. The wire
-// protocol is specified in docs/WIRE.md.
+// Batching never reorders one connection's operations. A server can
+// also be embedded in-process (NewServer) and the map used locally at
+// the same time — both sides share one registry and one linearizable
+// history. The benchmark (cmd/llscperf, workloads rpc and pipelined)
+// measures the served round trip over loopback, and cmd/llscload drives
+// a closed loop against any address. The wire protocol is specified in
+// docs/WIRE.md.
 //
 // # Durability
 //

@@ -14,7 +14,7 @@ import (
 // `llscbench -json` and `llscload -json` (WriteReport) so runs can be
 // archived and diffed.
 type Report struct {
-	// Tool identifies the producer ("llscbench").
+	// Tool identifies the producer ("llscbench" or "llscload").
 	Tool string `json:"tool"`
 	// GoVersion, GOMAXPROCS, NumCPU and Hostname pin down enough of the
 	// environment to compare runs honestly: a run at GOMAXPROCS=1 is
@@ -71,12 +71,12 @@ func (t *Table) JSON() TableJSON {
 	return tj
 }
 
-// newReport assembles a Report from finished tables, stamping the
+// newReport assembles tool's Report from finished tables, stamping the
 // environment.
-func newReport(tables []*Table) *Report {
+func newReport(tool string, tables []*Table) *Report {
 	host, _ := os.Hostname() // best-effort; omitted from the JSON on error
 	r := &Report{
-		Tool:       "llscbench",
+		Tool:       tool,
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -101,10 +101,10 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// WriteReport writes the tables as a JSON Report to the file at path,
-// or to stdout when path is "-".
-func WriteReport(path string, tables []*Table, stdout io.Writer) error {
-	r := newReport(tables)
+// WriteReport writes the tables as tool's JSON Report to the file at
+// path, or to stdout when path is "-".
+func WriteReport(path, tool string, tables []*Table, stdout io.Writer) error {
+	r := newReport(tool, tables)
 	if path == "-" {
 		return r.WriteJSON(stdout)
 	}

@@ -138,7 +138,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	tb.AddRow("jp", 123456.0)
 	tb.AddRow("lockmw", 7890.0)
 
-	report := newReport([]*Table{tb})
+	report := newReport("llscbench", []*Table{tb})
 	var buf bytes.Buffer
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

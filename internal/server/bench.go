@@ -58,8 +58,7 @@ func HotPathAllocs(runs int) (OpAllocs, error) {
 		cs.batch = cs.batch[:0]
 		for i := 0; i < batchN; i++ {
 			key := uint64(i) * 977
-			br := batchReq{shardI: m.ShardIndex(key)}
-			br.req = wire.Request{ID: uint64(i), Op: op, Key: key}
+			br := batchReq{req: wire.Request{ID: uint64(i), Op: op, Key: key}}
 			if op == wire.OpUpdate {
 				br.req.Mode = wire.ModeAdd
 				br.req.Args = args

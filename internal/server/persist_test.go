@@ -2,15 +2,19 @@ package server_test
 
 import (
 	"context"
+	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mwllsc/internal/client"
 	"mwllsc/internal/persist"
 	"mwllsc/internal/server"
 	"mwllsc/internal/shard"
+	"mwllsc/internal/wire"
 )
 
 // TestPersistIntegration drives a real server with the durability layer
@@ -207,5 +211,50 @@ func TestPersistFailureCountsInStats(t *testing.T) {
 	if after.BadReqs <= before.BadReqs {
 		t.Errorf("BadReqs did not count the converted ack: before %d after %d",
 			before.BadReqs, after.BadReqs)
+	}
+
+	// A mixed batch, written in one syscall: only its updates were
+	// logged, so only they are converted; the reads still answer OK.
+	nc, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var buf []byte
+	for _, req := range []wire.Request{
+		{ID: 1, Op: wire.OpRead, Key: 1},
+		{ID: 2, Op: wire.OpUpdate, Mode: wire.ModeAdd, Key: 1, Args: []uint64{1, 0}},
+		{ID: 3, Op: wire.OpRead, Key: 2},
+		{ID: 4, Op: wire.OpUpdateMulti, Mode: wire.ModeAdd, Keys: []uint64{1, 2}, Args: []uint64{1, 0, 1, 0}},
+	} {
+		buf = wire.AppendFrame(buf, wire.AppendRequest(nil, &req))
+	}
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var frame []byte
+	var resp wire.Response
+	for seen := 0; seen < 4; seen++ {
+		if frame, err = wire.ReadFrame(nc, frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.DecodeResponse(&resp, frame); err != nil {
+			t.Fatal(err)
+		}
+		read := resp.ID == 1 || resp.ID == 3
+		switch {
+		case read && resp.Status != wire.StatusOK:
+			t.Errorf("read id %d answered %v %q, want ok", resp.ID, resp.Status, resp.Err)
+		case !read && !strings.HasPrefix(resp.Err, "persistence failure"):
+			t.Errorf("update id %d answered %v %q, want a persistence failure", resp.ID, resp.Status, resp.Err)
+		}
+	}
+	mixed, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mixed.BadReqs - after.BadReqs; got != 2 {
+		t.Errorf("mixed batch raised BadReqs by %d, want 2 (its two updates)", got)
 	}
 }

@@ -6,10 +6,9 @@
 // and gathers them into batches: it blocks for the first request, then
 // drains whatever else has already arrived (up to MaxBatch), so under
 // pipelined load one registry Acquire/Release pays for many operations.
-// Within a batch, single-key operations execute grouped by target shard
-// — touching each shard's memory once while it is hot — which reorders
-// responses relative to arrival; the request id in every response frame
-// is what lets clients match them back up.
+// A batch executes in arrival order and its responses leave in that
+// order, behind the answer to any malformed frame among them; clients
+// still match responses to requests by the id every frame carries.
 //
 // A batch runs as the stages internal/trace names: admit (take an
 // inflight token, or answer the whole batch busy), run (acquire a
@@ -23,9 +22,8 @@
 // are linearizable per shard, UpdateMulti is a cross-shard atomic
 // commit, Snapshot is per-shard atomic, SnapshotAtomic cross-shard
 // linearizable. Batching never weakens this — a batch is just the same
-// sequence of linearizable operations issued by one process slot, and
-// operations of one connection that target the same key execute in
-// arrival order (shard grouping is order-preserving per shard).
+// sequence of linearizable operations issued by one process slot, in
+// the order the connection sent them.
 package server
 
 import (
@@ -36,7 +34,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -374,33 +371,32 @@ func (s *Server) Stats() wire.ServerStats {
 const respDataSoftCap = 4096
 
 // connState is one connection's reusable serving state — the reason the
-// hot path is allocation-free in steady state. It holds the decoded
-// batch (whose Request slots recycle their Keys/Args backing arrays),
-// one response per batch slot (recycling its Data), the executor's
-// collection slices, the per-batch map handle (re-armed with Reacquire
+// hot path is allocation-free in steady state. It holds the batch's
+// slots (whose requests recycle their Keys/Args backing arrays and whose
+// responses recycle their Data), the log records of the batch's
+// committed updates, the per-batch map handle (re-armed with Reacquire
 // instead of reallocated), the write buffer, and the merge closures
 // pre-bound at connection setup, which would otherwise be allocated per
 // update to capture that request's arguments. Only the connection's own
 // goroutine touches it.
 type connState struct {
-	s       *Server
-	c       net.Conn
-	h       *shard.MapHandle // lazily acquired, then Reacquire per batch
-	batch   []batchReq
-	resps   []wire.Response // resps[i] answers batch[i]
-	recs    []persist.Record
-	recResp []int      // recs[i] belongs to resps[recResp[i]]
-	rows    [][]uint64 // snapshot row scratch over resp.Data
-	buf     []byte     // response frames awaiting one write
+	s     *Server
+	c     net.Conn
+	h     *shard.MapHandle // lazily acquired, then Reacquire per batch
+	batch []batchReq
+	recs  []persist.Record
+	rows  [][]uint64 // snapshot row scratch over resp.Data
+	buf   []byte     // response frames awaiting one write
 	// failed records a write that failed and closed the connection.
 	failed bool
 
-	// Update/UpdateMulti state read by the pre-bound merge closures.
+	// Update/UpdateMulti state read by the pre-bound merge closures,
+	// which leave the commit's Seq in seq when a store is attached.
 	args       []uint64
 	dst        []uint64
 	mode       wire.Mode
 	w          int
-	rec        *persist.Record // nil when the op is not persisted
+	seq        uint64
 	mergeOne   func(v []uint64)
 	mergeMulti func(vals [][]uint64)
 
@@ -429,8 +425,8 @@ func (s *Server) newConnState(c net.Conn) *connState {
 	cs.mergeOne = func(v []uint64) {
 		wire.Merge(v, cs.args, cs.mode)
 		copy(cs.dst, v)
-		if cs.rec != nil {
-			cs.rec.Seq = s.persist.NextSeq()
+		if s.persist != nil {
+			cs.seq = s.persist.NextSeq()
 		}
 	}
 	cs.mergeMulti = func(vals [][]uint64) {
@@ -438,8 +434,8 @@ func (s *Server) newConnState(c net.Conn) *connState {
 			wire.Merge(v, cs.args[i*cs.w:(i+1)*cs.w], cs.mode)
 			copy(cs.dst[i*cs.w:(i+1)*cs.w], v)
 		}
-		if cs.rec != nil {
-			cs.rec.Seq = s.persist.NextSeq()
+		if s.persist != nil {
+			cs.seq = s.persist.NextSeq()
 		}
 	}
 	return cs
@@ -477,13 +473,15 @@ const (
 	coalesceMax = 256 << 10
 )
 
-// batchReq is one decoded request waiting in a batch, with its target
-// shard precomputed for grouping and its trace span when the request is
-// traced (nil otherwise).
+// batchReq is one slot of a batch: a decoded request, its response,
+// its trace span when the request is traced (nil otherwise) and, for an
+// update committed with a store attached, the Seq its log record
+// carries (0 otherwise).
 type batchReq struct {
-	req    wire.Request
-	shardI int // target shard for Read/Update; -1 otherwise
-	span   *trace.Span
+	req  wire.Request
+	resp wire.Response
+	span *trace.Span
+	seq  uint64
 }
 
 // readLoop decodes frames into batches and executes them. It returns on
@@ -555,17 +553,19 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= 4+int(n)
 }
 
-// appendDecoded decodes frame into a new batch slot. The slots grow with
-// the batches that arrive, never to maxBatch up front: readLoop takes
-// only fully buffered frames, so a batch never outgrows what the 64 KiB
-// read buffer holds. A malformed request is not batched: its
-// StatusBadRequest answer goes straight into the write buffer, ahead of
-// the batch's own responses. For wire-flagged or head-sampled requests
-// it also draws the trace span the batch's stages will stamp.
+// appendDecoded decodes frame into a new batch slot and resets the
+// slot's response to an empty OK answer. The slots grow with the batches
+// that arrive, never to maxBatch up front: readLoop takes only fully
+// buffered frames, so a batch never outgrows what the 64 KiB read buffer
+// holds. A malformed request is not batched: its StatusBadRequest answer
+// goes straight into the write buffer, ahead of the batch's own
+// responses. For wire-flagged or head-sampled requests it also draws the
+// trace span the batch's stages will stamp.
 func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 	// Reslice over a recycled slot when possible: DecodeRequest resets
-	// every field and reuses the slot's Keys/Args backing arrays, which
-	// is where the per-request allocations would otherwise be.
+	// every field and reuses the slot's Keys/Args backing arrays, and the
+	// response keeps its Data and Stages capacity, which is where the
+	// per-request allocations would otherwise be.
 	batch := cs.batch
 	if len(batch) < cap(batch) {
 		batch = batch[:len(batch)+1]
@@ -573,7 +573,6 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 		batch = append(batch, batchReq{})
 	}
 	br := &batch[len(batch)-1]
-	br.span = nil // recycled slot may hold a retired span's pointer
 	if err := wire.DecodeRequest(&br.req, frame); err != nil {
 		s.ctrs.Inc(0, cBadReqs)
 		// A frame too mangled to carry an id gets id 0; the client will
@@ -581,6 +580,10 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 		cs.put(&wire.Response{ID: br.req.ID, Status: wire.StatusBadRequest, Err: err.Error()})
 		return frame
 	}
+	// A recycled slot may hold a retired span's pointer and the last
+	// batch's Seq.
+	br.resp = wire.Response{ID: br.req.ID, Data: br.resp.Data[:0], Stages: br.resp.Stages[:0]}
+	br.span, br.seq = nil, 0
 	if tr := s.tracer; tr != nil {
 		if br.req.Traced {
 			br.span = tr.Get() // nil when the free list is dry: serve untraced
@@ -591,12 +594,6 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 			}
 		}
 		cs.traced = cs.traced || br.span != nil
-	}
-	switch br.req.Op {
-	case wire.OpRead, wire.OpUpdate:
-		br.shardI = s.m.ShardIndex(br.req.Key)
-	default:
-		br.shardI = -1
 	}
 	cs.batch = batch
 	return frame
@@ -630,18 +627,6 @@ func (s *Server) executeBatch(cs *connState) {
 		}
 	}
 	cs.emit()
-}
-
-// resetResps sizes resps to the batch and resets each slot to an empty
-// OK answer to its request, keeping the slot's Data capacity. It runs
-// after the shard sort, which moves requests between slots.
-func (cs *connState) resetResps() {
-	n := len(cs.batch)
-	cs.resps = slices.Grow(cs.resps[:0], n)[:n]
-	for i := range cs.resps {
-		r := &cs.resps[i]
-		*r = wire.Response{ID: cs.batch[i].req.ID, Data: r.Data[:0], Stages: r.Stages[:0]}
-	}
 }
 
 // mark stamps the end of stage st of a traced batch. An untraced batch
@@ -681,16 +666,14 @@ func (s *Server) admit(cs *connState) bool {
 	n := uint64(len(cs.batch))
 	s.ctrs.Add(0, cBusy, n)
 	s.ctrs.Add(0, cBadReqs, n)
-	cs.resetResps()
-	for i := range cs.resps {
-		reject(&cs.resps[i], wire.StatusBusy, busyMsg)
+	for i := range cs.batch {
+		reject(&cs.batch[i].resp, wire.StatusBusy, busyMsg)
 	}
 	return false
 }
 
-// run executes the batch through one acquired handle — single-key
-// operations grouped by shard, everything else in arrival order — and
-// returns the counter stripe of the registry slot it held. Another
+// run executes the batch through one acquired handle, in arrival order,
+// and returns the counter stripe of the registry slot it held. Another
 // executor necessarily holds a different slot and therefore writes
 // different cache lines.
 func (s *Server) run(cs *connState) int {
@@ -704,8 +687,6 @@ func (s *Server) run(cs *connState) int {
 	// a single atomic load, and every update in the batch sees the same
 	// verdict.
 	cs.degraded = s.degrade && s.persist != nil && s.persist.Sick()
-	sortByShard(batch)
-	cs.resetResps()
 	cs.mark(trace.StageQueue)
 	if cs.h == nil {
 		cs.h = s.m.Acquire()
@@ -717,48 +698,29 @@ func (s *Server) run(cs *connState) int {
 	p := h.Process()
 	s.ctrs.Inc(p, cBatches)
 	s.ctrs.Add(p, cReqs, uint64(len(batch)))
-	cs.recs, cs.recResp = cs.recs[:0], cs.recResp[:0]
 	for i := range batch {
-		var rec *persist.Record
-		if s.persist != nil {
-			cs.recs = append(cs.recs, persist.Record{})
-			rec = &cs.recs[len(cs.recs)-1]
-		}
-		s.execute(cs, h, p, &batch[i].req, rec, &cs.resps[i])
-		if rec != nil {
-			if rec.Op == 0 { // not a committed update; nothing to log
-				cs.recs = cs.recs[:len(cs.recs)-1]
-			} else {
-				cs.recResp = append(cs.recResp, i)
-			}
-		}
+		s.execute(cs, h, p, &batch[i])
 	}
 	h.Release()
 	cs.mark(trace.StageExecute)
 	return p
 }
 
-// sortByShard stably sorts each run of single-key requests by target
-// shard. Every op that can touch more than one shard (UpdateMulti, the
-// snapshots) has shardI -1 and acts as a barrier that nothing crosses:
-// without it, an Update(k) pipelined before an UpdateMulti([k,...])
-// would execute after it. Two single-key ops on the same shard keep
-// their order. It is an insertion sort, because batches are small
-// (≤ maxBatch) and sort.SliceStable's closure would be the hot path's
-// last per-batch allocation.
-func sortByShard(batch []batchReq) {
-	for i := 1; i < len(batch); i++ {
-		for j := i; j > 0 && batch[j].shardI >= 0 && batch[j].shardI < batch[j-1].shardI; j-- {
-			batch[j], batch[j-1] = batch[j-1], batch[j]
+// persistBatch makes the batch's committed updates — the slots with a
+// nonzero Seq — durable: after execution, outside the registry slot,
+// before the responses are written. The record slices alias the batch's
+// decode buffers, which stay untouched until the next batch.
+func (s *Server) persistBatch(cs *connState, p int) {
+	if s.persist == nil {
+		return
+	}
+	cs.recs = cs.recs[:0]
+	for i := range cs.batch {
+		if br := &cs.batch[i]; br.seq != 0 {
+			r := &br.req
+			cs.recs = append(cs.recs, persist.Record{Seq: br.seq, Op: r.Op, Mode: r.Mode, Key: r.Key, Keys: r.Keys, Args: r.Args})
 		}
 	}
-}
-
-// persistBatch makes the batch's committed updates durable: after
-// execution, outside the registry slot, before the responses are
-// written. The record slices alias the batch's decode buffers, which
-// stay untouched until the next batch.
-func (s *Server) persistBatch(cs *connState, p int) {
 	if len(cs.recs) == 0 {
 		return
 	}
@@ -781,10 +743,12 @@ func (s *Server) persistBatch(cs *connState, p int) {
 	// promises does not — fail the acknowledgment rather than lie about
 	// it. The conversions count as BadReqs so the drift is visible in
 	// the stats.
-	s.ctrs.Add(p, cBadReqs, uint64(len(cs.recResp)))
+	s.ctrs.Add(p, cBadReqs, uint64(len(cs.recs)))
 	msg := fmt.Sprintf("persistence failure: %v", err)
-	for _, i := range cs.recResp {
-		reject(&cs.resps[i], wire.StatusBadRequest, msg)
+	for i := range cs.batch {
+		if br := &cs.batch[i]; br.seq != 0 {
+			reject(&br.resp, wire.StatusBadRequest, msg)
+		}
 	}
 }
 
@@ -795,13 +759,13 @@ func (s *Server) persistBatch(cs *connState, p int) {
 // slot or admission token in hand.
 func (cs *connState) emit() {
 	for i := range cs.batch {
-		r := &cs.resps[i]
-		if sp := cs.batch[i].span; sp != nil {
-			cs.closeSpan(sp, &cs.batch[i].req, r)
+		br := &cs.batch[i]
+		if br.span != nil {
+			cs.closeSpan(br)
 		}
-		cs.put(r)
-		if cap(r.Data) > respDataSoftCap {
-			r.Data = nil
+		cs.put(&br.resp)
+		if cap(br.resp.Data) > respDataSoftCap {
+			br.resp.Data = nil
 		}
 	}
 	cs.flush()
@@ -825,13 +789,14 @@ func (cs *connState) emit() {
 	runtime.Gosched()
 }
 
-// closeSpan fills a traced request's span from the batch's stage stamps
+// closeSpan fills a traced slot's span from the batch's stage stamps
 // and its response, and echoes the breakdown on a wire-flagged request's
 // OK response. A stage the batch skipped — every stage of a busy batch,
 // persist and fsync without a store — has zero width: its stamp is left
 // from an earlier batch, before this one's head arrived. The flush stage
 // and the total close after the write (emit).
-func (cs *connState) closeSpan(sp *trace.Span, req *wire.Request, resp *wire.Response) {
+func (cs *connState) closeSpan(br *batchReq) {
+	sp, req, resp := br.span, &br.req, &br.resp
 	sp.Begin(cs.tRead) // resets the span; set fields after
 	last := cs.tRead
 	for st, t := range cs.stamps {
@@ -927,10 +892,10 @@ func (s *Server) Checkpoint() error {
 	})
 }
 
-// execute runs one request, filling resp (its batch slot's response,
-// reset by resetResps). When persistence is on, rec is a scratch Record
-// a committed update fills in; rec.Op stays 0 for every other request.
-func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Request, rec *persist.Record, resp *wire.Response) {
+// execute runs one slot's request, filling its response (reset when
+// the frame decoded).
+func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, br *batchReq) {
+	req, resp := &br.req, &br.resp
 	w := s.m.W()
 	switch req.Op {
 	case wire.OpPing:
@@ -942,7 +907,7 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 		h.Read(req.Key, sizedData(resp, w))
 
 	case wire.OpUpdate, wire.OpUpdateMulti:
-		s.update(cs, h, p, req, rec, resp)
+		s.update(cs, h, p, br)
 
 	case wire.OpSnapshot, wire.OpSnapshotAtomic:
 		s.ctrs.Inc(p, cSnapshots)
@@ -980,11 +945,12 @@ func (s *Server) execute(cs *connState, h *shard.MapHandle, p int, req *wire.Req
 	}
 }
 
-// update runs an Update or UpdateMulti. When rec is non-nil it receives
-// the committed operation; its Seq is drawn inside the merge callback,
-// whose final (committing) run leaves the number that orders the record
-// against every other committed update on its shards.
-func (s *Server) update(cs *connState, h *shard.MapHandle, p int, req *wire.Request, rec *persist.Record, resp *wire.Response) {
+// update runs an Update or UpdateMulti. With a store attached, the
+// merge callback draws a Seq on every run; the final (committing) run
+// leaves the number that orders the update's log record against every
+// other committed update on its shards, and update keeps it in the slot.
+func (s *Server) update(cs *connState, h *shard.MapHandle, p int, br *batchReq) {
+	req, resp := &br.req, &br.resp
 	multi := req.Op == wire.OpUpdateMulti
 	ctr, nk := cUpdates, 1
 	if multi {
@@ -1003,7 +969,7 @@ func (s *Server) update(cs *connState, h *shard.MapHandle, p int, req *wire.Requ
 		return
 	}
 	resp.Rows, resp.Words = uint32(nk), uint32(w)
-	cs.args, cs.mode, cs.dst, cs.rec, cs.w = req.Args, req.Mode, sizedData(resp, nk*w), rec, w
+	cs.args, cs.mode, cs.dst, cs.w, cs.seq = req.Args, req.Mode, sizedData(resp, nk*w), w, 0
 	if multi {
 		resp.Attempts = uint32(h.UpdateMulti(req.Keys, cs.mergeMulti))
 	} else {
@@ -1012,10 +978,7 @@ func (s *Server) update(cs *connState, h *shard.MapHandle, p int, req *wire.Requ
 	if s.metrics != nil {
 		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
 	}
-	if rec == nil {
-		return
-	}
-	rec.Op, rec.Mode, rec.Key, rec.Keys, rec.Args = req.Op, req.Mode, req.Key, req.Keys, req.Args
+	br.seq = cs.seq
 }
 
 // badUpdate returns why the Update or UpdateMulti req cannot run on a

@@ -273,10 +273,9 @@ func TestSlotOversubscription(t *testing.T) {
 
 // TestBatchBarrierOrder pins the batch-execution ordering contract for
 // mixed op kinds: an Update pipelined BEFORE an UpdateMulti on the same
-// key must execute before it, even when both land in one batch (multi
-// ops are barriers; only single-key runs between barriers are
-// shard-sorted). The two frames are written in one syscall so they
-// arrive together and batch together.
+// key must execute before it, even when both land in one batch, which
+// runs in arrival order. The two frames are written in one syscall so
+// they arrive together and batch together.
 func TestBatchBarrierOrder(t *testing.T) {
 	m, err := shard.NewMap(4, 4, 1)
 	if err != nil {
@@ -330,9 +329,10 @@ func TestBatchBarrierOrder(t *testing.T) {
 }
 
 // TestShardSortedBatchAnswersMatchIDs: reads written in one syscall in
-// descending shard order arrive as one batch that the executor's shard
-// sort reverses, and every response must still carry its own request's
-// id with that request's key's value.
+// descending shard order arrive as one batch, which the server executes
+// and answers in arrival order, so the responses must come back in
+// request order, each carrying its own request's id with that request's
+// key's value.
 func TestShardSortedBatchAnswersMatchIDs(t *testing.T) {
 	m, err := shard.NewMap(4, 4, 1)
 	if err != nil {
@@ -373,6 +373,9 @@ func TestShardSortedBatchAnswersMatchIDs(t *testing.T) {
 			}
 			if err := wire.DecodeResponse(&resp, frame); err != nil {
 				t.Fatal(err)
+			}
+			if wantID := uint64(m.Shards() - 1 - seen); resp.ID != wantID {
+				t.Fatalf("round %d: response %d answers id %d, want %d (answered out of request order)", round, seen, resp.ID, wantID)
 			}
 			want := m.KeyForShard(int(resp.ID)) + 1000
 			if resp.Status != wire.StatusOK || resp.Data[0] != want {
@@ -430,9 +433,9 @@ func TestNonReadingClientDoesNotPinSlots(t *testing.T) {
 	}
 }
 
-// TestPerKeyOrderPreserved checks that shard-grouped batch execution
-// never reorders two operations on the same key from one connection: a
-// Set followed by an Add must land in that order.
+// TestPerKeyOrderPreserved checks that batch execution never reorders
+// two operations on the same key from one connection: a Set followed by
+// an Add must land in that order.
 func TestPerKeyOrderPreserved(t *testing.T) {
 	m, err := shard.NewMap(4, 4, 1)
 	if err != nil {

@@ -27,13 +27,11 @@ import (
 )
 
 // mkReadBatch fills cs.batch with n pre-decoded reads.
-func mkReadBatch(m *shard.Map, cs *connState, n int) {
+func mkReadBatch(cs *connState, n int) {
 	cs.batch = cs.batch[:0]
 	for i := 0; i < n; i++ {
 		key := uint64(i) * 977
-		br := batchReq{shardI: m.ShardIndex(key)}
-		br.req = wire.Request{ID: uint64(i), Op: wire.OpRead, Key: key}
-		cs.batch = append(cs.batch, br)
+		cs.batch = append(cs.batch, batchReq{req: wire.Request{ID: uint64(i), Op: wire.OpRead, Key: key}})
 	}
 }
 
@@ -48,7 +46,7 @@ func TestExecuteBatchCountsOnHeldSlotStripe(t *testing.T) {
 		t.Fatalf("counter stripes = %d, want one per registry slot = %d", got, m.N())
 	}
 	cs := s.newConnState(discardConn{})
-	mkReadBatch(m, cs, batchN)
+	mkReadBatch(cs, batchN)
 	s.executeBatch(cs)
 	p := cs.h.Process()
 	for st := 0; st < s.ctrs.Stripes(); st++ {
@@ -95,7 +93,7 @@ func TestCounterStripingUnderParallelLoad(t *testing.T) {
 			defer wg.Done()
 			cs := s.newConnState(discardConn{})
 			for r := 0; r < rounds; r++ {
-				mkReadBatch(m, cs, batchN)
+				mkReadBatch(cs, batchN)
 				s.executeBatch(cs)
 			}
 		}()

@@ -42,8 +42,9 @@ const (
 	// StageDecode: reading the request's frame(s) off the socket and
 	// decoding the batch it arrived in (batched frames share the read).
 	StageDecode Stage = iota
-	// StageQueue: from batch fully decoded to execution start — the
-	// batch queue wait, including the shard-grouping sort.
+	// StageQueue: from batch fully decoded to the registry acquire —
+	// the per-batch setup (the degraded-mode check), near zero because
+	// a connection runs each batch as soon as it is decoded.
 	StageQueue
 	// StageAcquire: acquiring the registry process slot for the batch.
 	StageAcquire
