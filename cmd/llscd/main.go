@@ -8,7 +8,7 @@
 // Usage:
 //
 //	llscd [-addr 127.0.0.1:7787] [-shards 16] [-slots 16] [-words 2]
-//	      [-impl jp] [-maxbatch 64] [-stats 0] [-v] [-admin ""]
+//	      [-impl jp] [-maxbatch 64] [-v] [-admin ""]
 //	      [-dir ""] [-fsync everysec] [-checkpoint-interval 1m]
 //	      [-trace-sample 0] [-slow-threshold 0]
 //	      [-max-conns 0] [-idle-timeout 0] [-write-timeout 0]
@@ -50,11 +50,7 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops
 // accepting, closes open connections, waits for the per-connection
-// goroutines to drain, and (with -dir) writes a final checkpoint. With
-// -stats D it prints one counters line every D (expvar-style:
-// cumulative totals, not rates, plus p50/p99 service latency and —
-// when durable — the p99 group-commit fsync time, from the same
-// histograms /metrics exposes).
+// goroutines to drain, and (with -dir) writes a final checkpoint.
 package main
 
 import (
@@ -94,7 +90,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		words    = fs.Int("words", 2, "value width per shard in 64-bit words (W)")
 		impl     = fs.String("impl", "jp", "implementation backing each shard (one of "+strings.Join(impls.Names(), ",")+")")
 		maxBatch = fs.Int("maxbatch", 64, "max pipelined requests executed per registry acquisition")
-		statsDur = fs.Duration("stats", 0, "print a cumulative stats + latency line this often (0 = never)")
 		admin    = fs.String("admin", "", "admin HTTP listen address: /metrics, /statsz, /healthz, /debug/pprof (empty = disabled, port 0 picks a free port)")
 		verbose  = fs.Bool("v", false, "log per-connection errors")
 		dir      = fs.String("dir", "", "data directory for the durability layer (empty = in-memory only)")
@@ -233,13 +228,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	served := make(chan error, 1)
 	go func() { served <- s.Serve() }()
 
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if *statsDur > 0 {
-		ticker = time.NewTicker(*statsDur)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
 	var ckptTicker *time.Ticker
 	var ckptTick <-chan time.Time
 	if st != nil && *ckptDur > 0 {
@@ -249,21 +237,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	}
 	for {
 		select {
-		case <-tick:
-			sv := s.Stats()
-			fmt.Fprintf(stdout, "llscd: conns=%d/%d reqs=%d upd=%d read=%d snap=%d multi=%d batches=%d avgbatch=%.1f badreq=%d persisterr=%d lat p50=%s p99=%s\n",
-				sv.ConnsOpen, sv.ConnsTotal, sv.Reqs, sv.Updates, sv.Reads, sv.Snapshots, sv.Multis,
-				sv.Batches, avg(sv.Reqs, sv.Batches), sv.BadReqs, sv.PersistErrs,
-				time.Duration(sv.LatP50), time.Duration(sv.LatP99))
-			if n := sv.ShedConns + sv.BusyRejects + sv.Evictions + sv.IdleCloses + sv.DegradedRejects; n > 0 {
-				fmt.Fprintf(stdout, "llscd: overload shed=%d busy=%d evicted=%d idleclosed=%d degraded=%d\n",
-					sv.ShedConns, sv.BusyRejects, sv.Evictions, sv.IdleCloses, sv.DegradedRejects)
-			}
-			if st != nil {
-				ps := st.Stats()
-				fmt.Fprintf(stdout, "llscd: persist records=%d bytes=%d syncs=%d ckpts=%d seq=%d fsync p99=%s\n",
-					ps.Records, ps.Bytes, ps.Syncs, ps.Checkpoints, ps.Seq, time.Duration(sv.FsyncP99))
-			}
 		case <-ckptTick:
 			if err := s.Checkpoint(); err != nil {
 				fmt.Fprintf(stderr, "llscd: checkpoint: %v\n", err)
@@ -296,13 +269,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-}
-
-func avg(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }
 
 // envInt64 parses an optional integer environment variable (the

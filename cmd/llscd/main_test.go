@@ -93,20 +93,6 @@ func TestRunServeAndGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestRunStatsTicker(t *testing.T) {
-	_, out, shutdown := startDaemon(t, "-stats", "10ms")
-	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(out.String(), "conns=") {
-		if time.Now().After(deadline) {
-			t.Fatalf("no stats line within deadline:\n%s", out)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if code := shutdown(); code != 0 {
-		t.Fatalf("exit code %d", code)
-	}
-}
-
 func TestRunBadFlag(t *testing.T) {
 	if code := run([]string{"-nope"}, nil, &syncBuf{}, &syncBuf{}); code != 2 {
 		t.Fatalf("exit code %d, want 2", code)

@@ -3,8 +3,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
-	"unsafe"
 )
 
 // NumBuckets is the fixed bucket count of every Histogram: bucket 0
@@ -16,30 +14,23 @@ import (
 // spans six decades.
 const NumBuckets = 65
 
-// histWords is the per-stripe footprint: NumBuckets bucket counters
-// plus one sum word, padded up to a stripeAlign multiple.
-const histWords = (NumBuckets + 1 + stripeWords - 1) / stripeWords * stripeWords
-
-// Histogram is a lock-free log-bucketed histogram striped like
-// Counters: each writer stripe owns cache-line-padded buckets, so
-// concurrent Observe calls from different registry slots never share
-// a line. Observe is two atomic adds and allocates nothing.
+// Histogram is a lock-free log-bucketed histogram kept in a Counters
+// bank of NumBuckets+1 counters per stripe: the bucket counts, then
+// the sum of observed values. Concurrent Observe calls from different
+// registry slots therefore never share a cache line. Observe is two
+// atomic adds and allocates nothing.
 type Histogram struct {
-	words   []atomic.Uint64
-	stripes int
+	bank *Counters
 }
 
 // NewHistogram builds a histogram with the given stripe count
 // (raised to 1 if below).
 func NewHistogram(stripes int) *Histogram {
-	if stripes < 1 {
-		stripes = 1
-	}
-	return &Histogram{words: alignedWords(stripes * histWords), stripes: stripes}
+	return &Histogram{bank: NewCounters(stripes, NumBuckets+1)}
 }
 
 // Stripes returns the number of stripes.
-func (h *Histogram) Stripes() int { return h.stripes }
+func (h *Histogram) Stripes() int { return h.bank.Stripes() }
 
 // Observe records one value on the given stripe. Out-of-range
 // stripes fall back to stripe 0.
@@ -49,18 +40,8 @@ func (h *Histogram) Observe(stripe int, v uint64) { h.ObserveN(stripe, v, 1) }
 // atomic adds — the batch executor stamps time once per batch and
 // attributes the window to every request in it.
 func (h *Histogram) ObserveN(stripe int, v, n uint64) {
-	if uint(stripe) >= uint(h.stripes) {
-		stripe = 0
-	}
-	base := stripe * histWords
-	h.words[base+bits.Len64(v)].Add(n)
-	h.words[base+NumBuckets].Add(v * n)
-}
-
-// stripeAddr returns the address of the stripe's first word, for the
-// alignment test.
-func (h *Histogram) stripeAddr(stripe int) uintptr {
-	return uintptr(unsafe.Pointer(&h.words[stripe*histWords]))
+	h.bank.Add(stripe, bits.Len64(v), n)
+	h.bank.Add(stripe, NumBuckets, v*n)
 }
 
 // HistSnapshot is a point-in-time cross-stripe fold of a Histogram —
@@ -79,13 +60,8 @@ type HistSnapshot struct {
 // monitoring view, not a linearizable one.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	for st := 0; st < h.stripes; st++ {
-		base := st * histWords
-		for b := 0; b < NumBuckets; b++ {
-			s.Buckets[b] += h.words[base+b].Load()
-		}
-		s.Sum += h.words[base+NumBuckets].Load()
-	}
+	h.bank.Sums(s.Buckets[:])
+	s.Sum = h.bank.Sum(NumBuckets)
 	for _, c := range s.Buckets {
 		s.Count += c
 	}

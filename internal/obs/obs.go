@@ -4,13 +4,14 @@
 // Prometheus text and JSON for the llscd admin plane.
 //
 // The design constraint is the same one that shaped the serving path:
-// no allocations and no shared cache lines per request. Counters and
-// Histogram both stripe their state per registry process slot — the
-// executor already holds a slot id for the duration of a batch — and
-// pad each stripe to 128 bytes (two cache lines, defeating the
-// adjacent-line prefetcher) so two slots bumping their own counters
-// never write the same line. Reads (Sum, Snapshot) walk every stripe;
-// they are the rare path and pay for the writes' isolation.
+// no allocations and no shared cache lines per request. Counters
+// stripe their state per registry process slot — the executor already
+// holds a slot id for the duration of a batch — and pad each stripe to
+// 128 bytes (two cache lines, defeating the adjacent-line prefetcher)
+// so two slots bumping their own counters never write the same line.
+// A Histogram keeps its buckets in a Counters bank, so it is striped
+// the same way. Reads (Sum, Snapshot) walk every stripe; they are the
+// rare path and pay for the writes' isolation.
 package obs
 
 import (

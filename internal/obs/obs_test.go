@@ -89,12 +89,12 @@ func TestStripeAlignment(t *testing.T) {
 	}
 	h := NewHistogram(3)
 	for st := 0; st < h.Stripes(); st++ {
-		a := h.stripeAddr(st)
+		a := h.bank.stripeAddr(st)
 		if a%stripeAlign != 0 {
 			t.Errorf("hist stripe %d at %#x not %d-aligned", st, a, stripeAlign)
 		}
 		if st > 0 {
-			if d := a - h.stripeAddr(st-1); d < stripeAlign {
+			if d := a - h.bank.stripeAddr(st-1); d < stripeAlign {
 				t.Errorf("hist stripes %d/%d only %d bytes apart", st-1, st, d)
 			}
 		}

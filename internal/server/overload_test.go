@@ -187,6 +187,24 @@ func TestIdleTimeoutCloses(t *testing.T) {
 	}
 }
 
+// TestIdleCloseCountedBeforeClose pins that a connection's close is
+// counted before its peer can see it: once the idle close reaches the
+// client, IdleCloses includes it and ConnsOpen no longer does. A count
+// that trails the close is read stale only now and then, so the test
+// closes one connection after another, many times.
+func TestIdleCloseCountedBeforeClose(t *testing.T) {
+	s, addr := newTestServer(t, WithIdleTimeout(time.Millisecond))
+	for i := uint64(1); i <= 300; i++ {
+		c := rawDial(t, addr)
+		waitClosed(t, c)
+		if st := s.Stats(); st.ConnsOpen != 0 || st.IdleCloses != i {
+			t.Fatalf("close %d seen by the peer: ConnsOpen = %d, IdleCloses = %d, want 0 and %d",
+				i, st.ConnsOpen, st.IdleCloses, i)
+		}
+		c.Close()
+	}
+}
+
 // TestIdleTimeoutSparesActiveClient: a client that keeps requests
 // coming — slower than the batch rate but faster than the deadline —
 // is never closed.

@@ -274,10 +274,11 @@ func (s *Server) Serve() error {
 		if s.maxConns > 0 && len(s.conns) >= s.maxConns {
 			// Shed at the door: closing before serving a byte is the only
 			// rejection whose cost does not grow with load. The client sees
-			// a reset/EOF and treats it like any broken connection.
+			// a reset/EOF and treats it like any broken connection. Count
+			// first, so a peer that has seen the close finds it counted.
 			s.mu.Unlock()
-			c.Close()
 			s.ctrs.Inc(0, cConnsShed)
+			c.Close()
 			continue
 		}
 		s.conns[c] = struct{}{}
@@ -452,11 +453,13 @@ func sizedData(resp *wire.Response, n int) []uint64 {
 
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
-	defer s.ctrs.Add(0, cConnsOpen, ^uint64(0))
+	// The connection leaves the books before it closes, so a peer that
+	// has seen the close finds it counted.
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
+		s.ctrs.Add(0, cConnsOpen, ^uint64(0))
 		c.Close()
 	}()
 	s.readLoop(s.newConnState(c))

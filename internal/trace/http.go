@@ -23,16 +23,12 @@ type SpanJSON struct {
 
 // pageJSON is the top-level /tracez | /slowz JSON document.
 type pageJSON struct {
-	Kind          string `json:"kind"` // "recent" or "slow"
-	SampleN       uint64 `json:"sample_n"`
-	SlowThreshold uint64 `json:"slow_threshold_ns"`
-	Retired       uint64 `json:"retired"`
-	Dropped       uint64 `json:"dropped"`
-	// Exemplar links the aggregate latency histograms to a trace: the
-	// id of the max-latency span retired since the previous scrape.
-	ExemplarID string     `json:"exemplar_trace_id,omitempty"`
-	ExemplarNS uint64     `json:"exemplar_ns,omitempty"`
-	Spans      []SpanJSON `json:"spans"`
+	Kind          string     `json:"kind"` // "recent" or "slow"
+	SampleN       uint64     `json:"sample_n"`
+	SlowThreshold uint64     `json:"slow_threshold_ns"`
+	Retired       uint64     `json:"retired"`
+	Dropped       uint64     `json:"dropped"`
+	Spans         []SpanJSON `json:"spans"`
 }
 
 func spanJSON(s *Span) SpanJSON {
@@ -57,15 +53,11 @@ func spanJSON(s *Span) SpanJSON {
 // serve renders spans as JSON (the default) or, with ?format=text, as
 // an aligned HTML-free text table for humans on a terminal.
 func (t *Tracer) serve(w http.ResponseWriter, r *http.Request, kind string, spans []Span) {
-	exID, exNS := t.Exemplar()
 	st := t.Stats()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "%s traces: %d span(s)  sample=1/%d  slow-threshold=%s  retired=%d dropped=%d\n",
 			kind, len(spans), t.sampleN, time.Duration(t.slowNS), st.Retired, st.Dropped)
-		if exID != 0 {
-			fmt.Fprintf(w, "exemplar: trace=%016x total=%s\n", exID, time.Duration(exNS))
-		}
 		fmt.Fprintf(w, "%-16s %-4s %-8s %-7s %11s | %10s %10s %10s %10s %10s %10s %10s | %8s %5s\n",
 			"trace", "op", "key", "kind", "total",
 			"decode", "queue", "acquire", "execute", "persist", "fsync", "flush",
@@ -91,11 +83,7 @@ func (t *Tracer) serve(w http.ResponseWriter, r *http.Request, kind string, span
 		SlowThreshold: t.slowNS,
 		Retired:       st.Retired,
 		Dropped:       st.Dropped,
-		ExemplarNS:    exNS,
 		Spans:         make([]SpanJSON, 0, len(spans)),
-	}
-	if exID != 0 {
-		page.ExemplarID = fmt.Sprintf("%016x", exID)
 	}
 	for i := range spans {
 		page.Spans = append(page.Spans, spanJSON(&spans[i]))

@@ -18,10 +18,10 @@
 // within the E14 overhead budget. Everything per-request is gated on
 // one branch; spans are preallocated and recycled. Retirement copies
 // the span, as a plain Span, into a fixed recent ring and, when it is
-// among the slowest, a fixed slowest-N window. One mutex guards both
-// and the exemplar; it is held for a copy, plus a scan of the window
-// only for a span slower than the window's floor. /tracez and /slowz
-// readers copy under the same mutex, so they never see a torn span.
+// among the slowest, a fixed slowest-N window. One mutex guards both;
+// it is held for a copy, plus a scan of the window only for a span
+// slower than the window's floor. /tracez and /slowz readers copy under
+// the same mutex, so they never see a torn span.
 package trace
 
 import (
@@ -215,8 +215,8 @@ type Tracer struct {
 	free    chan *Span
 	dropped atomic.Uint64
 
-	// mu guards the retired spans: the recent ring, the slowest-N
-	// window and the exemplar.
+	// mu guards the retired spans: the recent ring and the slowest-N
+	// window.
 	mu      sync.Mutex
 	recent  []Span
 	retired uint64 // spans retired; the next goes to recent[retired%len]
@@ -228,11 +228,6 @@ type Tracer struct {
 	// slowLapse, when an expired slot has room for any span.
 	slowFloor uint64
 	slowLapse time.Time
-
-	// exemplar-lite: the trace id + latency of the slowest span since
-	// the last Exemplar() read, linking histogram tails to traces.
-	exID  uint64
-	exLat uint64
 }
 
 // New builds a Tracer from cfg.
@@ -277,8 +272,7 @@ func (t *Tracer) Get() *Span {
 
 // Retire completes s: emits the slow-op log line when s is past the
 // threshold, copies s into the recent ring (and the slow window when it
-// qualifies), updates the exemplar, and recycles s. The caller must not
-// touch s afterwards.
+// qualifies), and recycles s. The caller must not touch s afterwards.
 func (t *Tracer) Retire(s *Span) {
 	slow := t.slowNS > 0 && s.Total >= t.slowNS
 	if slow && t.logf != nil {
@@ -292,9 +286,6 @@ func (t *Tracer) Retire(s *Span) {
 	t.mu.Lock()
 	t.recent[t.retired%uint64(len(t.recent))] = *s
 	t.retired++
-	if s.Total > t.exLat {
-		t.exLat, t.exID = s.Total, s.TraceID
-	}
 	// s.mark, the stamp Finish left, dates s in the slow window: the
 	// server finishes a span just before retiring it, so no clock read
 	// is needed here.
@@ -374,17 +365,6 @@ func (t *Tracer) Slow(dst []Span) []Span {
 	t.mu.Unlock()
 	slices.SortStableFunc(dst[start:], func(a, b Span) int { return cmp.Compare(b.Total, a.Total) })
 	return dst
-}
-
-// Exemplar returns and resets the trace id and latency of the slowest
-// span retired since the previous call — the "exemplar-lite" link from
-// a histogram snapshot's max-latency observation to its trace.
-func (t *Tracer) Exemplar() (id, latNS uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, latNS = t.exID, t.exLat
-	t.exID, t.exLat = 0, 0
-	return id, latNS
 }
 
 // Stats is the tracer's own counter snapshot.

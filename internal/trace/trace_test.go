@@ -156,20 +156,6 @@ func TestSlowThresholdLogsStructuredLine(t *testing.T) {
 	}
 }
 
-func TestExemplarTracksMaxAndResets(t *testing.T) {
-	tr := New(Config{Recent: 8, SlowN: 2})
-	retireOne(tr, 1, time.Millisecond)
-	retireOne(tr, 2, 9*time.Millisecond)
-	retireOne(tr, 3, 2*time.Millisecond)
-	id, lat := tr.Exemplar()
-	if id != 2 || lat != uint64(9*time.Millisecond) {
-		t.Fatalf("exemplar = (%d, %v), want trace 2 at 9ms", id, time.Duration(lat))
-	}
-	if id, _ = tr.Exemplar(); id != 0 {
-		t.Fatalf("exemplar did not reset: %d", id)
-	}
-}
-
 func TestConcurrentRetireAndRead(t *testing.T) {
 	// Retirement races /tracez + /slowz readers; under -race this pins
 	// that the retired spans are safe to scrape mid-load, and every
@@ -216,7 +202,6 @@ func TestConcurrentRetireAndRead(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		whole(tr.Recent(nil, 0))
 		whole(tr.Slow(nil))
-		tr.Exemplar()
 	}
 	close(stop)
 	wg.Wait()
