@@ -3,9 +3,10 @@
 // experiments for the sharded map and handle registry (E8-E9), the
 // cross-shard transaction experiment (E10), the durability-cost
 // experiment across fsync policies (E12), the hot-path allocation table
-// (E13, held at zero by TestE13AllocsZero), the instrumentation-overhead
-// experiment (E14: no histograms vs histograms vs idle tracer vs 1-in-64
-// sampling vs every request traced) and the overload-control experiment
+// (E13, held at zero by TestE13AllocsZero), the head-sampling experiment
+// (E14: sampling off vs 1-in-64 sampling vs every request traced; what
+// the always-on histograms and tracer cost is gated by cmd/llscperf's
+// served workloads) and the overload-control experiment
 // (E16: goodput under 2x open-loop offered load with admission control
 // off vs on). Ids missing from the sequence belong to retired
 // experiments: cmd/llscperf measures the served round trip, and E14

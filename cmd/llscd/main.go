@@ -46,7 +46,7 @@
 // additionally head-samples 1 in N requests per connection, and every
 // trace slower than -slow-threshold emits one structured slow-op log
 // line on stdout. With sampling off and no flagged requests the
-// tracing layer costs one clock read per batch (priced by E14).
+// tracing layer costs one clock read per batch.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: it stops
 // accepting, closes open connections, waits for the per-connection
@@ -116,12 +116,8 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "llscd: %v\n", err)
 		return 1
 	}
-	// Histograms are always on in the daemon: E14 prices them at well
-	// under its 3% budget and a daemon you cannot ask for its latency
-	// distribution is not operable. The tracer likewise: with sampling
-	// off it only serves client-flagged requests (E14's idle arm prices
-	// the untraced path), and a daemon that cannot answer "where did
-	// this slow request go" is not debuggable.
+	// Every server keeps its histograms and a tracer; the daemon's tracer
+	// carries -trace-sample, -slow-threshold and the slow-op log line.
 	tr := trace.New(trace.Config{
 		SampleN:       *sampleN,
 		SlowThreshold: *slowThr,
@@ -131,7 +127,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	})
 	opts := []server.Option{
 		server.WithMaxBatch(*maxBatch),
-		server.WithMetrics(server.NewMetrics(*slots)),
 		server.WithTracer(tr),
 		server.WithMaxConns(*maxConns),
 		server.WithIdleTimeout(*idleTO),

@@ -167,12 +167,12 @@
 // profiler under /debug/pprof/; the Stats wire opcode (Client.Stats)
 // carries the same counter totals plus p50/p99/p999 service latency
 // and fsync p99 as optional trailing words old clients ignore. Every
-// surface folds the same striped banks, so they never disagree. The
-// E13 allocation gate runs with observability enabled, and the E14
-// experiment (cmd/llscbench -e e14) prices the histograms and the
-// tracer against a bare server — the idle deltas sit inside
-// measurement noise, with a documented ceiling of 3%. The metric
-// catalog and design notes live in docs/OBSERVABILITY.md.
+// surface folds the same striped banks, so they never disagree. Every
+// server keeps its histograms and its tracer: cmd/llscperf's served
+// workloads gate what they cost, the E13 allocation gate holds them at
+// zero allocations, and the E14 experiment (cmd/llscbench -e e14)
+// prices head sampling. The metric catalog and design notes live in
+// docs/OBSERVABILITY.md.
 //
 // # Substrates
 //

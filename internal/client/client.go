@@ -186,7 +186,7 @@ type Trace struct {
 	// ServerStages holds the server's echoed per-stage durations in
 	// nanoseconds, in internal/trace stage order (decode, queue,
 	// acquire, execute, persist, fsync). Empty when the server did not
-	// echo a breakdown (old server, or its span free list ran dry).
+	// echo a breakdown: the call failed, or the server predates it.
 	ServerStages []uint64
 }
 

@@ -2,12 +2,14 @@ package client_test
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
 	"mwllsc/internal/client"
 	"mwllsc/internal/server"
 	"mwllsc/internal/trace"
+	"mwllsc/internal/wire"
 )
 
 func TestWithTraceFillsClientAndServerStages(t *testing.T) {
@@ -98,10 +100,12 @@ func TestWithTraceFillsClientAndServerStages(t *testing.T) {
 }
 
 func TestWithTraceAgainstTracerlessServer(t *testing.T) {
-	// A traced call against a server with no tracer attached still
-	// succeeds; the request's suffix decodes fine, the server just has
-	// nowhere to record it, so no breakdown comes back.
-	_, addr := startServer(t, 4, 3, 2)
+	// A traced call against a server that answers OK without a trace
+	// suffix still succeeds: the client just has no server breakdown to
+	// fill in.
+	addr, _ := multiServer(t, func(nc net.Conn, req *wire.Request) {
+		respondStatus(nc, req.ID, wire.StatusOK, "")
+	})
 	c := dial(t, addr)
 	var ct client.Trace
 	if _, err := c.Add(client.WithTrace(context.Background(), &ct), 1, []uint64{1, 1}); err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mwllsc/internal/shard"
-	"mwllsc/internal/trace"
 	"mwllsc/internal/wire"
 )
 
@@ -42,14 +41,13 @@ func HotPathAllocs(runs int) (OpAllocs, error) {
 	if err != nil {
 		return OpAllocs{}, err
 	}
-	// Metrics on, tracer attached with sampling off, admission control
-	// enabled: the zero-allocs gate must hold with the full
-	// observability stack compiled in and the overload controls armed,
-	// or those layers would quietly exempt themselves from the
-	// discipline they exist to watch. (The token is a non-blocking
-	// channel send per batch — the gate proves it stays free.)
-	s := New(m, WithMetrics(NewMetrics(m.N())), WithTracer(trace.New(trace.Config{})),
-		WithMaxInflight(4))
+	// The server's own histograms and tracer (sampling off), admission
+	// control enabled: the zero-allocs gate must hold with the full
+	// observability stack and the overload controls armed, or those
+	// layers would quietly exempt themselves from the discipline they
+	// exist to watch. (The token is a non-blocking channel send per
+	// batch — the gate proves it stays free.)
+	s := New(m, WithMaxInflight(4))
 	cs := s.newConnState(discardConn{})
 
 	args := []uint64{1, 2}

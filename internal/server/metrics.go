@@ -32,10 +32,8 @@ const (
 	numCounters
 )
 
-// Metrics is the server's optional histogram set. nil (the default)
-// disables latency recording entirely — the E14 benchmark's "bare"
-// arm; the counters in Server.ctrs are always on, because they replace
-// the stats fields the wire protocol has exposed since PR 3.
+// Metrics is the server's histogram set. Every server records one, as
+// it does its counters: New builds it unless WithMetrics supplies one.
 type Metrics struct {
 	// Service records per-request service latency in nanoseconds: the
 	// batch-execute window (handle acquisition through durability),
@@ -60,16 +58,17 @@ func NewMetrics(n int) *Metrics {
 	}
 }
 
-// WithMetrics attaches histograms to the server (see Metrics). The
-// stripe count should match the served map's slot count.
+// WithMetrics replaces the histogram set New builds, NewMetrics(m.N())
+// for the served map m; nil keeps it. The stripe count should match the
+// served map's slot count.
 func WithMetrics(m *Metrics) Option {
 	return func(s *Server) { s.metrics = m }
 }
 
 // RegisterMetrics registers the server's full metric surface on reg
-// under llscd_* names: the striped request counters, the histogram set
-// (when attached), map geometry, registry-slot contention, the txn
-// engine's helping/retry counters, and — when a durability store is
+// under llscd_* names: the striped request counters, the histogram set,
+// map geometry, registry-slot contention, the txn engine's helping/retry
+// counters, the tracer's span count, and — when a durability store is
 // attached — the persistence counters and append/fsync latency
 // histograms. The admin plane's /metrics and /statsz render exactly
 // this registry, so their totals match the Stats wire opcode by
@@ -105,21 +104,14 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("llscd_txn_retries_total", "Update attempts rerun after a conflicting commit.",
 		func() uint64 { return s.m.TxnStats().Retries })
 
-	if s.metrics != nil {
-		reg.Histogram("llscd_request_latency_seconds",
-			"Per-request service latency: the batch-execute window, handle acquisition through durability.",
-			1e-9, s.metrics.Service)
-		reg.Histogram("llscd_batch_size", "Requests per executed batch.", 1, s.metrics.Batch)
-		reg.Histogram("llscd_update_attempts", "LL/SC attempts per Update/UpdateMulti (1 = no conflict).",
-			1, s.metrics.Attempts)
-	}
-	if s.tracer != nil {
-		tr := s.tracer
-		reg.Counter("llscd_trace_spans_total", "Trace spans completed and retired into the rings.",
-			func() uint64 { return tr.Stats().Retired })
-		reg.Counter("llscd_trace_dropped_total", "Traces skipped because the span free list ran dry.",
-			func() uint64 { return tr.Stats().Dropped })
-	}
+	reg.Histogram("llscd_request_latency_seconds",
+		"Per-request service latency: the batch-execute window, handle acquisition through durability.",
+		1e-9, s.metrics.Service)
+	reg.Histogram("llscd_batch_size", "Requests per executed batch.", 1, s.metrics.Batch)
+	reg.Histogram("llscd_update_attempts", "LL/SC attempts per Update/UpdateMulti (1 = no conflict).",
+		1, s.metrics.Attempts)
+	reg.Counter("llscd_trace_spans_total", "Trace spans completed and retired into the rings.",
+		func() uint64 { return s.tracer.Stats().Retired })
 	if s.persist != nil {
 		st := s.persist
 		reg.Counter("llscd_persist_records_total", "Records appended to the durability log.",

@@ -64,11 +64,11 @@ func WithLogf(logf func(format string, args ...any)) Option {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithTracer attaches a per-request tracing layer (internal/trace).
+// WithTracer replaces the tracer New builds, trace.New(trace.Config{}),
+// whose head sampling and slow threshold are off; nil keeps it.
 // Requests become traced when the client flags them on the wire or the
 // tracer head-samples them (Config.SampleN); everything else pays one
-// branch per request plus one clock read per batch. nil (the default)
-// disables tracing entirely.
+// branch per request plus one clock read per batch.
 func WithTracer(t *trace.Tracer) Option {
 	return func(s *Server) { s.tracer = t }
 }
@@ -173,7 +173,9 @@ type Server struct {
 }
 
 // New creates a server over m. The map is shared: in-process callers may
-// keep using it concurrently with remote traffic.
+// keep using it concurrently with remote traffic. Every server records
+// its histograms (Metrics) and serves traced requests (Tracer); the
+// options WithMetrics and WithTracer replace the defaults New builds.
 func New(m *shard.Map, opts ...Option) *Server {
 	s := &Server{
 		m:        m,
@@ -185,13 +187,20 @@ func New(m *shard.Map, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	if s.metrics == nil {
+		s.metrics = NewMetrics(m.N())
+	}
+	if s.tracer == nil {
+		s.tracer = trace.New(trace.Config{})
+	}
 	return s
 }
 
 // Map returns the served map.
 func (s *Server) Map() *shard.Map { return s.m }
 
-// Tracer returns the attached tracer, nil when none.
+// Tracer returns the server's tracer, the one WithTracer supplied or
+// the default New built.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // ErrClosed is returned by Serve after Close.
@@ -326,9 +335,9 @@ func (s *Server) Close() error {
 
 // Stats returns a point-in-time snapshot of the server counters plus
 // the served map's geometry, folding the striped banks into the wire
-// totals. The latency quantile words are filled from the attached
-// Metrics histograms (zero with observability off) and FsyncP99 from
-// the durability store (zero without one).
+// totals. The latency quantile words are filled from the server's
+// Service histogram and FsyncP99 from the durability store (zero
+// without one).
 func (s *Server) Stats() wire.ServerStats {
 	var c [numCounters]uint64
 	s.ctrs.Sums(c[:])
@@ -353,12 +362,10 @@ func (s *Server) Stats() wire.ServerStats {
 		IdleCloses:      c[cIdleClosed],
 		DegradedRejects: c[cDegraded],
 	}
-	if s.metrics != nil {
-		snap := s.metrics.Service.Snapshot()
-		st.LatP50 = uint64(snap.Quantile(0.50))
-		st.LatP99 = uint64(snap.Quantile(0.99))
-		st.LatP999 = uint64(snap.Quantile(0.999))
-	}
+	snap := s.metrics.Service.Snapshot()
+	st.LatP50 = uint64(snap.Quantile(0.50))
+	st.LatP99 = uint64(snap.Quantile(0.99))
+	st.LatP999 = uint64(snap.Quantile(0.999))
 	if s.persist != nil {
 		snap := s.persist.SyncHist().Snapshot()
 		st.FsyncP99 = uint64(snap.Quantile(0.99))
@@ -406,13 +413,15 @@ type connState struct {
 	degraded bool
 
 	// Tracing state. tRead is the batch head's arrival stamp — the one
-	// clock read the untraced path pays per batch when a tracer is
-	// attached. traced says the batch holds a span; stamps[st] is the end
-	// of stage st in it (see mark). sampleCtr counts toward the next head
-	// sample.
+	// clock read tracing adds to an untraced batch. traced says the batch
+	// holds a traced slot; stamps[st] is the end of stage st in it (see
+	// mark). span holds a traced batch's stage widths, then each traced
+	// slot's record as emit retires it. sampleCtr counts toward the next
+	// head sample.
 	tRead     time.Time
 	traced    bool
 	stamps    [trace.WireStages]time.Time
+	span      trace.Span
 	sampleCtr uint64
 }
 
@@ -477,14 +486,14 @@ const (
 )
 
 // batchReq is one slot of a batch: a decoded request, its response,
-// its trace span when the request is traced (nil otherwise) and, for an
-// update committed with a store attached, the Seq its log record
+// whether the request is traced (wire-flagged or head-sampled) and, for
+// an update committed with a store attached, the Seq its log record
 // carries (0 otherwise).
 type batchReq struct {
-	req  wire.Request
-	resp wire.Response
-	span *trace.Span
-	seq  uint64
+	req    wire.Request
+	resp   wire.Response
+	traced bool
+	seq    uint64
 }
 
 // readLoop decodes frames into batches and executes them. It returns on
@@ -513,12 +522,10 @@ func (s *Server) readLoop(cs *connState) {
 			}
 			return
 		}
-		if s.tracer != nil {
-			// The batch head's arrival anchors every span in the batch;
-			// stamping it here (after the blocking read, before decode) is
-			// tracing's only per-batch cost on the untraced path.
-			cs.tRead = time.Now()
-		}
+		// The batch head's arrival anchors every span in the batch;
+		// stamping it here (after the blocking read, before decode) is
+		// tracing's only per-batch cost on the untraced path.
+		cs.tRead = time.Now()
 		cs.batch, cs.traced = cs.batch[:0], false
 		frame = s.appendDecoded(cs, frame)
 		// Drain requests that already arrived, without blocking: only
@@ -562,8 +569,8 @@ func frameBuffered(br *bufio.Reader) bool {
 // buffered frames, so a batch never outgrows what the 64 KiB read buffer
 // holds. A malformed request is not batched: its StatusBadRequest answer
 // goes straight into the write buffer, ahead of the batch's own
-// responses. For wire-flagged or head-sampled requests it also draws the
-// trace span the batch's stages will stamp.
+// responses. It also marks the slot traced when the request is
+// wire-flagged or head-sampled.
 func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 	// Reslice over a recycled slot when possible: DecodeRequest resets
 	// every field and reuses the slot's Keys/Args backing arrays, and the
@@ -583,21 +590,15 @@ func (s *Server) appendDecoded(cs *connState, frame []byte) []byte {
 		cs.put(&wire.Response{ID: br.req.ID, Status: wire.StatusBadRequest, Err: err.Error()})
 		return frame
 	}
-	// A recycled slot may hold a retired span's pointer and the last
-	// batch's Seq.
+	// A recycled slot may hold the last batch's Seq.
 	br.resp = wire.Response{ID: br.req.ID, Data: br.resp.Data[:0], Stages: br.resp.Stages[:0]}
-	br.span, br.seq = nil, 0
-	if tr := s.tracer; tr != nil {
-		if br.req.Traced {
-			br.span = tr.Get() // nil when the free list is dry: serve untraced
-		} else if n := tr.SampleN(); n > 0 {
-			if cs.sampleCtr++; cs.sampleCtr >= n {
-				cs.sampleCtr = 0
-				br.span = tr.Get()
-			}
+	br.traced, br.seq = br.req.Traced, 0
+	if n := s.tracer.SampleN(); n > 0 && !br.traced {
+		if cs.sampleCtr++; cs.sampleCtr >= n {
+			cs.sampleCtr, br.traced = 0, true
 		}
-		cs.traced = cs.traced || br.span != nil
 	}
+	cs.traced = cs.traced || br.traced
 	cs.batch = batch
 	return frame
 }
@@ -620,14 +621,11 @@ func (s *Server) executeBatch(cs *connState) {
 		if s.sem != nil {
 			<-s.sem
 		}
-		if m := s.metrics; m != nil {
-			// One window per batch, decode end through durability,
-			// attributed to every request in it. Under SyncAlways this is
-			// the client-visible service time minus queueing and wire
-			// transfer.
-			m.Service.ObserveN(p, uint64(time.Since(cs.stamps[trace.StageDecode])), uint64(n))
-			m.Batch.Observe(p, uint64(n))
-		}
+		// One window per batch, decode end through durability,
+		// attributed to every request in it. Under SyncAlways this is the
+		// client-visible service time minus queueing and wire transfer.
+		s.metrics.Service.ObserveN(p, uint64(time.Since(cs.stamps[trace.StageDecode])), uint64(n))
+		s.metrics.Batch.Observe(p, uint64(n))
 	}
 	cs.emit()
 }
@@ -682,10 +680,8 @@ func (s *Server) admit(cs *connState) bool {
 func (s *Server) run(cs *connState) int {
 	batch := cs.batch
 	// The end of decode anchors the Service histogram's window as well as
-	// the traced stages, so it is stamped when either is on.
-	if cs.traced || s.metrics != nil {
-		cs.stamps[trace.StageDecode] = time.Now()
-	}
+	// the traced stages, so every batch stamps it.
+	cs.stamps[trace.StageDecode] = time.Now()
 	// Degraded mode is decided once per batch: the store's sick flag is
 	// a single atomic load, and every update in the batch sees the same
 	// verdict.
@@ -755,16 +751,31 @@ func (s *Server) persistBatch(cs *connState, p int) {
 	}
 }
 
-// emit closes the batch's spans, encodes its responses behind whatever
-// decode-error answers are already buffered, and writes them out; the
-// spans then finish and retire into the tracer's rings. The write can
-// block on a peer that stops reading, so emit runs with no registry
-// slot or admission token in hand.
+// emit encodes the batch's responses behind whatever decode-error
+// answers are already buffered and writes them out. For a traced batch
+// it first turns the stage stamps into stage widths, which flagged OK
+// responses echo, and after the write retires a span for each traced
+// slot. The write can block on a peer that stops reading, so emit runs
+// with no registry slot or admission token in hand.
 func (cs *connState) emit() {
+	last := cs.tRead
+	if cs.traced {
+		// A stage the batch skipped — every stage of a busy batch, persist
+		// and fsync without a store — has zero width: its stamp is left
+		// from an earlier batch, before this one's head arrived.
+		for st, t := range cs.stamps {
+			prev := last
+			if t.After(last) {
+				last = t
+			}
+			cs.span.Stages[st] = uint64(last.Sub(prev))
+		}
+	}
 	for i := range cs.batch {
 		br := &cs.batch[i]
-		if br.span != nil {
-			cs.closeSpan(br)
+		if resp := &br.resp; br.req.Traced && resp.Status == wire.StatusOK {
+			resp.Traced, resp.TraceID = true, br.req.TraceID
+			resp.Stages = append(resp.Stages[:0], cs.span.Stages[:trace.WireStages]...)
 		}
 		cs.put(&br.resp)
 		if cap(br.resp.Data) > respDataSoftCap {
@@ -773,14 +784,7 @@ func (cs *connState) emit() {
 	}
 	cs.flush()
 	if cs.traced {
-		now := time.Now()
-		for i := range cs.batch {
-			if sp := cs.batch[i].span; sp != nil {
-				sp.Err = sp.Err || cs.failed
-				sp.Finish(now)
-				cs.s.tracer.Retire(sp)
-			}
-		}
+		cs.retire(last)
 	}
 	// Yield once after the write. A handoff to another goroutine would
 	// also start an idle processor, whose thread then polls the network
@@ -792,36 +796,29 @@ func (cs *connState) emit() {
 	runtime.Gosched()
 }
 
-// closeSpan fills a traced slot's span from the batch's stage stamps
-// and its response, and echoes the breakdown on a wire-flagged request's
-// OK response. A stage the batch skipped — every stage of a busy batch,
-// persist and fsync without a store — has zero width: its stamp is left
-// from an earlier batch, before this one's head arrived. The flush stage
-// and the total close after the write (emit).
-func (cs *connState) closeSpan(br *batchReq) {
-	sp, req, resp := br.span, &br.req, &br.resp
-	sp.Begin(cs.tRead) // resets the span; set fields after
-	last := cs.tRead
-	for st, t := range cs.stamps {
-		if t.After(last) {
-			last = t
-		}
-		sp.Stamp(trace.Stage(st), last)
-	}
-	sp.Op = uint8(req.Op)
-	sp.Key = req.Key
-	sp.Attempts = resp.Attempts
+// retire fills cs.span for each traced slot of the batch just written
+// and hands it to the tracer, which copies it. The slots share the stage
+// widths emit computed up to last, the batch's last stamp; the flush
+// stage closes now, at the end of the write.
+func (cs *connState) retire(last time.Time) {
+	end := time.Now()
+	sp := &cs.span
+	sp.Stages[trace.StageFlush] = uint64(end.Sub(last))
+	sp.Start, sp.Total = cs.tRead.UnixNano(), uint64(end.Sub(cs.tRead))
 	sp.Batch = uint32(len(cs.batch))
-	sp.Err = resp.Status != wire.StatusOK
-	if !req.Traced {
-		sp.Sampled = true
-		sp.TraceID = trace.NewID()
-		return
-	}
-	sp.TraceID = req.TraceID
-	if resp.Status == wire.StatusOK {
-		resp.Traced, resp.TraceID = true, sp.TraceID
-		resp.Stages = append(resp.Stages[:0], sp.Stages[:trace.WireStages]...)
+	for i := range cs.batch {
+		br := &cs.batch[i]
+		if !br.traced {
+			continue
+		}
+		req, resp := &br.req, &br.resp
+		sp.TraceID, sp.Sampled = req.TraceID, !req.Traced
+		if sp.Sampled {
+			sp.TraceID = trace.NewID()
+		}
+		sp.Op, sp.Key, sp.Attempts = uint8(req.Op), req.Key, resp.Attempts
+		sp.Err = resp.Status != wire.StatusOK || cs.failed
+		cs.s.tracer.Retire(sp, end)
 	}
 }
 
@@ -978,9 +975,7 @@ func (s *Server) update(cs *connState, h *shard.MapHandle, p int, br *batchReq) 
 	} else {
 		resp.Attempts = uint32(h.Update(req.Key, cs.mergeOne))
 	}
-	if s.metrics != nil {
-		s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
-	}
+	s.metrics.Attempts.Observe(p, uint64(resp.Attempts))
 	br.seq = cs.seq
 }
 

@@ -27,7 +27,6 @@ type pageJSON struct {
 	SampleN       uint64     `json:"sample_n"`
 	SlowThreshold uint64     `json:"slow_threshold_ns"`
 	Retired       uint64     `json:"retired"`
-	Dropped       uint64     `json:"dropped"`
 	Spans         []SpanJSON `json:"spans"`
 }
 
@@ -56,8 +55,15 @@ func (t *Tracer) serve(w http.ResponseWriter, r *http.Request, kind string, span
 	st := t.Stats()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "%s traces: %d span(s)  sample=1/%d  slow-threshold=%s  retired=%d dropped=%d\n",
-			kind, len(spans), t.sampleN, time.Duration(t.slowNS), st.Retired, st.Dropped)
+		sample, slowThr := "off", "off"
+		if t.sampleN > 0 {
+			sample = fmt.Sprintf("1/%d", t.sampleN)
+		}
+		if t.slowNS > 0 {
+			slowThr = time.Duration(t.slowNS).String()
+		}
+		fmt.Fprintf(w, "%s traces: %d span(s)  sample=%s  slow-threshold=%s  retired=%d\n",
+			kind, len(spans), sample, slowThr, st.Retired)
 		fmt.Fprintf(w, "%-16s %-4s %-8s %-7s %11s | %10s %10s %10s %10s %10s %10s %10s | %8s %5s\n",
 			"trace", "op", "key", "kind", "total",
 			"decode", "queue", "acquire", "execute", "persist", "fsync", "flush",
@@ -82,7 +88,6 @@ func (t *Tracer) serve(w http.ResponseWriter, r *http.Request, kind string, span
 		SampleN:       t.sampleN,
 		SlowThreshold: t.slowNS,
 		Retired:       st.Retired,
-		Dropped:       st.Dropped,
 		Spans:         make([]SpanJSON, 0, len(spans)),
 	}
 	for i := range spans {

@@ -8,16 +8,16 @@
 // wire (an optional trailing trace id on the request frame, see
 // internal/wire and docs/WIRE.md), or the server head-samples it at a
 // 1-in-N rate. Either way the server stamps monotonic timestamps at
-// each stage the request already passes through — frame decode, batch
-// queue wait, registry slot acquire, shard execute, persist append,
-// group-commit fsync wait, response encode and write — into a Span drawn
-// from a preallocated free list, and retires the completed span here.
+// each stage the request's batch already passes through — frame decode,
+// batch queue wait, registry slot acquire, shard execute, persist
+// append, group-commit fsync wait, response encode and write — and,
+// once the batch's responses are written, fills a Span with the stage
+// widths and retires it here.
 //
 // The design constraint is the same one that shaped the serving path
-// and the obs layer: the *untraced* path must stay allocation-free and
-// within the E14 overhead budget. Everything per-request is gated on
-// one branch; spans are preallocated and recycled. Retirement copies
-// the span, as a plain Span, into a fixed recent ring and, when it is
+// and the obs layer: the *untraced* path must stay allocation-free.
+// Everything per-request is gated on one branch, and a Span is a plain
+// value. Retirement copies it into a fixed recent ring and, when it is
 // among the slowest, a fixed slowest-N window. One mutex guards both;
 // it is held for a copy, plus a scan of the window only for a span
 // slower than the window's floor. /tracez and /slowz readers copy under
@@ -93,10 +93,9 @@ func StageName(st Stage) string {
 	}
 }
 
-// Span is one traced request's record. The server fills it in while the
-// request moves through the pipeline and retires it with
-// Tracer.Retire, which copies it into the recent ring and the slow
-// window and recycles it; a *Span must not be held past Retire.
+// Span is one traced request's record: the server fills it once the
+// request's response is written and hands it to Tracer.Retire, which
+// copies it into the recent ring and the slow window.
 type Span struct {
 	// TraceID identifies the trace: client-chosen for wire-flagged
 	// requests, generated for head-sampled ones.
@@ -124,32 +123,6 @@ type Span struct {
 	// Stages holds the per-stage durations in nanoseconds. Their sum
 	// equals Total.
 	Stages [NumStages]uint64
-
-	// begin anchors Total (monotonic); mark is the running stamp, each
-	// Stamp closing the stage since the previous mark.
-	begin time.Time
-	mark  time.Time
-}
-
-// Begin resets the span and anchors its clock at t.
-func (s *Span) Begin(t time.Time) {
-	*s = Span{Start: t.UnixNano(), begin: t, mark: t}
-}
-
-// Stamp closes stage st at time t: the stage's duration is the time
-// since the previous stamp (or Begin). Stages stamped out of order
-// accumulate, so a stage touched twice (persist then fsync per batch
-// half) stays correct.
-func (s *Span) Stamp(st Stage, t time.Time) {
-	s.Stages[st] += uint64(t.Sub(s.mark))
-	s.mark = t
-}
-
-// Finish closes the final stage (flush) at t and fixes Total as the
-// stage sum's wall: t minus Begin's anchor.
-func (s *Span) Finish(t time.Time) {
-	s.Stamp(StageFlush, t)
-	s.Total = uint64(t.Sub(s.begin))
 }
 
 // idSeed and idCount drive NewID: splitmix64 over a counter that starts
@@ -195,25 +168,22 @@ type Config struct {
 	Recent int
 	// SlowN is the slowest-N window capacity (default 64).
 	SlowN int
-	// MaxLive bounds concurrently live spans — the free list size
-	// (default 4×Recent). When the list runs dry new traces are
-	// dropped (counted), never allocated: tracing may lose spans under
-	// overload but cannot add GC pressure.
+	// MaxLive is ignored: a retired span is copied, so no span is ever
+	// live inside the tracer.
+	//
+	// Deprecated: kept so existing callers compile.
 	MaxLive int
 	// Logf, when set, receives one structured line per span past
 	// SlowThreshold.
 	Logf func(format string, args ...any)
 }
 
-// Tracer owns the span free list and the retired spans, and serves them
-// as /tracez and /slowz (http.go).
+// Tracer owns the retired spans and serves them as /tracez and /slowz
+// (http.go).
 type Tracer struct {
 	sampleN uint64
 	slowNS  uint64
 	logf    func(format string, args ...any)
-
-	free    chan *Span
-	dropped atomic.Uint64
 
 	// mu guards the retired spans: the recent ring and the slowest-N
 	// window.
@@ -238,42 +208,24 @@ func New(cfg Config) *Tracer {
 	if cfg.SlowN <= 0 {
 		cfg.SlowN = 64
 	}
-	if cfg.MaxLive <= 0 {
-		cfg.MaxLive = 4 * cfg.Recent
-	}
-	t := &Tracer{
+	return &Tracer{
 		sampleN: cfg.SampleN,
 		slowNS:  uint64(cfg.SlowThreshold),
 		logf:    cfg.Logf,
-		free:    make(chan *Span, cfg.MaxLive),
 		recent:  make([]Span, cfg.Recent),
 		slow:    make([]slowEntry, cfg.SlowN),
 	}
-	for i := 0; i < cfg.MaxLive; i++ {
-		t.free <- &Span{}
-	}
-	return t
 }
 
 // SampleN returns the head-sampling rate (1-in-N; 0 = off).
 func (t *Tracer) SampleN() uint64 { return t.sampleN }
 
-// Get draws a span from the free list, or nil when every span is live
-// — the caller then serves the request untraced (counted in Stats).
-func (t *Tracer) Get() *Span {
-	select {
-	case s := <-t.free:
-		return s
-	default:
-		t.dropped.Add(1)
-		return nil
-	}
-}
-
-// Retire completes s: emits the slow-op log line when s is past the
-// threshold, copies s into the recent ring (and the slow window when it
-// qualifies), and recycles s. The caller must not touch s afterwards.
-func (t *Tracer) Retire(s *Span) {
+// Retire records s, a span that ended at end: it emits the slow-op log
+// line when s is past the threshold and copies s into the recent ring
+// (and the slow window when it qualifies). end, a time the caller has
+// already read, dates s in the slow window, so Retire reads no clock.
+// The caller keeps s and may reuse it at once.
+func (t *Tracer) Retire(s *Span, end time.Time) {
 	slow := t.slowNS > 0 && s.Total >= t.slowNS
 	if slow && t.logf != nil {
 		t.logf("slow-op trace=%016x op=%d key=%d sampled=%v total=%s decode=%s queue=%s acquire=%s execute=%s persist=%s fsync=%s flush=%s attempts=%d batch=%d",
@@ -286,19 +238,10 @@ func (t *Tracer) Retire(s *Span) {
 	t.mu.Lock()
 	t.recent[t.retired%uint64(len(t.recent))] = *s
 	t.retired++
-	// s.mark, the stamp Finish left, dates s in the slow window: the
-	// server finishes a span just before retiring it, so no clock read
-	// is needed here.
-	if slow || s.Total > t.slowFloor || s.mark.After(t.slowLapse) {
-		t.offerSlow(s, s.mark)
+	if slow || s.Total > t.slowFloor || end.After(t.slowLapse) {
+		t.offerSlow(s, end)
 	}
 	t.mu.Unlock()
-
-	*s = Span{}
-	select {
-	case t.free <- s:
-	default: // impossible by construction (list is sized to all spans)
-	}
 }
 
 // offerSlow puts s into the slowest-N window in place of the best
@@ -371,13 +314,11 @@ func (t *Tracer) Slow(dst []Span) []Span {
 type Stats struct {
 	// Retired counts spans completed and recorded.
 	Retired uint64
-	// Dropped counts traces skipped because the free list ran dry.
-	Dropped uint64
 }
 
 // Stats returns the tracer's counters.
 func (t *Tracer) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Stats{Retired: t.retired, Dropped: t.dropped.Load()}
+	return Stats{Retired: t.retired}
 }

@@ -14,46 +14,15 @@ import (
 )
 
 // retireOne runs one synthetic span of the given total through t,
-// splitting the time over two stages so stage bookkeeping is visible.
+// splitting the time over three stages so stage bookkeeping is visible.
 func retireOne(t *Tracer, id uint64, total time.Duration) {
-	s := t.Get()
-	if s == nil {
-		panic("free list dry in test")
-	}
-	base := time.Now()
-	s.Begin(base)
-	s.TraceID = id
-	s.Op, s.Key, s.Attempts, s.Batch = 3, 42, 1, 4
-	s.Stamp(StageDecode, base.Add(total/4))
-	s.Stamp(StageExecute, base.Add(3*total/4))
-	s.Finish(base.Add(total))
-	t.Retire(s)
-}
-
-func TestStageSumEqualsTotal(t *testing.T) {
-	var s Span
-	base := time.Now()
-	s.Begin(base)
-	s.Stamp(StageDecode, base.Add(10*time.Microsecond))
-	s.Stamp(StageQueue, base.Add(15*time.Microsecond))
-	s.Stamp(StageAcquire, base.Add(17*time.Microsecond))
-	s.Stamp(StageExecute, base.Add(100*time.Microsecond))
-	s.Stamp(StagePersist, base.Add(130*time.Microsecond))
-	s.Stamp(StageFsync, base.Add(180*time.Microsecond))
-	s.Finish(base.Add(200 * time.Microsecond))
-	var sum uint64
-	for _, d := range s.Stages {
-		sum += d
-	}
-	if sum != s.Total {
-		t.Fatalf("stage sum %d != total %d", sum, s.Total)
-	}
-	if s.Total != uint64(200*time.Microsecond) {
-		t.Fatalf("total = %d, want 200us", s.Total)
-	}
-	if got := s.Stages[StageExecute]; got != uint64(83*time.Microsecond) {
-		t.Fatalf("execute stage = %v, want 83us", time.Duration(got))
-	}
+	end := time.Now()
+	s := Span{TraceID: id, Op: 3, Key: 42, Attempts: 1, Batch: 4,
+		Start: end.Add(-total).UnixNano(), Total: uint64(total)}
+	s.Stages[StageDecode] = uint64(total / 4)
+	s.Stages[StageExecute] = uint64(3*total/4 - total/4)
+	s.Stages[StageFlush] = uint64(total - 3*total/4)
+	t.Retire(&s, end)
 }
 
 func TestRecentRingNewestFirstAndOverwrite(t *testing.T) {
@@ -70,27 +39,6 @@ func TestRecentRingNewestFirstAndOverwrite(t *testing.T) {
 		if s.TraceID != want[i] {
 			t.Fatalf("recent[%d].TraceID = %d, want %d (all: %+v)", i, s.TraceID, want[i], got)
 		}
-	}
-}
-
-func TestFreeListRecyclesWithoutGrowth(t *testing.T) {
-	tr := New(Config{Recent: 2, MaxLive: 3})
-	for i := 0; i < 100; i++ {
-		retireOne(tr, uint64(i), time.Millisecond)
-	}
-	if st := tr.Stats(); st.Retired != 100 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want 100 retired / 0 dropped", st)
-	}
-	// Drain the free list: exactly MaxLive spans exist, ever.
-	var live int
-	for tr.Get() != nil {
-		live++
-	}
-	if live != 3 {
-		t.Fatalf("free list held %d spans, want MaxLive=3", live)
-	}
-	if st := tr.Stats(); st.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1 (the failed Get)", st.Dropped)
 	}
 }
 
@@ -175,16 +123,10 @@ func TestConcurrentRetireAndRead(t *testing.T) {
 					return
 				default:
 				}
-				s := tr.Get()
-				if s == nil {
-					continue
-				}
-				base := time.Now()
-				s.Begin(base)
-				s.TraceID = uint64(g)<<32 | uint64(i)
-				s.Stamp(StageExecute, base.Add(time.Duration(i%7)*time.Microsecond))
-				s.Finish(base.Add(time.Duration(i%11) * time.Microsecond))
-				tr.Retire(s)
+				s := Span{TraceID: uint64(g)<<32 | uint64(i), Total: uint64(i%7+i%11) * 1000}
+				s.Stages[StageExecute] = uint64(i%7) * 1000
+				s.Stages[StageFlush] = uint64(i%11) * 1000
+				tr.Retire(&s, time.Now())
 			}
 		}(g)
 	}
@@ -252,21 +194,28 @@ func TestTracezAndSlowzHandlers(t *testing.T) {
 	if strings.Contains(body, "<") {
 		t.Fatalf("/slowz text output contains HTML: %s", body)
 	}
+	if !strings.Contains(body, "sample=1/64  slow-threshold=off  retired=2\n") {
+		t.Fatalf("/slowz text header:\n%s", body)
+	}
+
+	// With sampling and the threshold off, the header says so in words.
+	rec = httptest.NewRecorder()
+	New(Config{}).ServeTracez(rec, httptest.NewRequest("GET", "/tracez?format=text", nil))
+	if body := rec.Body.String(); !strings.Contains(body, "sample=off  slow-threshold=off  retired=0\n") {
+		t.Fatalf("/tracez text header with tracing off:\n%s", body)
+	}
 }
 
 func TestRetireDoesNotAllocate(t *testing.T) {
 	tr := New(Config{Recent: 8, SlowN: 4})
-	base := time.Now()
+	end := time.Now()
+	s := Span{TraceID: 7, Total: 2000}
+	s.Stages[StageExecute], s.Stages[StageFlush] = 1000, 1000
 	allocs := testing.AllocsPerRun(200, func() {
-		s := tr.Get()
-		s.Begin(base)
-		s.TraceID = 7
-		s.Stamp(StageExecute, base.Add(time.Microsecond))
-		s.Finish(base.Add(2 * time.Microsecond))
-		tr.Retire(s)
+		tr.Retire(&s, end)
 	})
 	if allocs != 0 {
-		t.Fatalf("Get+Retire allocates %.1f/op, want 0", allocs)
+		t.Fatalf("Retire allocates %.1f/op, want 0", allocs)
 	}
 }
 

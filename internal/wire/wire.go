@@ -616,9 +616,9 @@ type ServerStats struct {
 	// nanoseconds (the batch-execute window: handle acquisition through
 	// durability, attributed to every request in the batch), estimated
 	// from the server's log-bucketed histogram. Zero when the server
-	// predates them or runs with observability off. Like PersistErrs,
-	// they ride as optional trailing words: old clients ignore them, new
-	// clients read zeros from old servers.
+	// predates them. Like PersistErrs, they ride as optional trailing
+	// words: old clients ignore them, new clients read zeros from old
+	// servers.
 	LatP50  uint64
 	LatP99  uint64
 	LatP999 uint64

@@ -20,7 +20,11 @@ type ServerOption = server.Option
 var ErrServerClosed = server.ErrClosed
 
 // NewServer creates a serving layer over m; call Listen and Serve (or
-// ListenAndServe) to accept clients, Close for a graceful drain.
+// ListenAndServe) to accept clients, Close for a graceful drain. The
+// server records its latency, batch-size and update-attempt histograms
+// (the latency quantiles Client.Stats reports) and traces each request
+// flagged on the wire with a trace id (docs/WIRE.md), echoing its stage
+// breakdown; head sampling is off.
 //
 //	m, _ := mwllsc.NewSharded(16, 16, 2)
 //	s := mwllsc.NewServer(m)
