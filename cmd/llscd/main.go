@@ -233,7 +233,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	for {
 		select {
 		case <-ckptTick:
-			if err := s.Checkpoint(); err != nil {
+			if err := st.Checkpoint(); err != nil {
 				fmt.Fprintf(stderr, "llscd: checkpoint: %v\n", err)
 			} else if *verbose {
 				fmt.Fprintf(stdout, "llscd: checkpoint written\n")
@@ -248,7 +248,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 			if st != nil {
 				// All connections have drained; one final checkpoint
 				// makes the next startup instant (empty logs).
-				if err := s.Checkpoint(); err != nil {
+				if err := st.Checkpoint(); err != nil {
 					fmt.Fprintf(stderr, "llscd: final checkpoint: %v\n", err)
 					return 1
 				}

@@ -11,11 +11,11 @@ import (
 //
 //	| counter (counterBits) | pid (pidBits) | value (valueBits) |
 //
-// Every mutation (SC or Write) by process p stamps the word with p's next
-// counter value, so no packed word is ever repeated during an execution.
-// Hence "packed word unchanged" (what CAS/equality tests) is equivalent to
-// "no successful mutation happened", which is exactly the LL/SC/VL rule.
-// This sidesteps the ABA problem without garbage collection.
+// Every mutation (a landed SC or a Write) by process p stamps the word with
+// p's next counter value, so no packed word is ever repeated during an
+// execution. Hence "packed word unchanged" (what CAS/equality tests) is
+// equivalent to "no successful mutation happened", which is exactly the
+// LL/SC/VL rule. This sidesteps the ABA problem without garbage collection.
 //
 // The zero value is not usable; use NewTagged.
 type Tagged struct {
@@ -45,9 +45,11 @@ const (
 )
 
 // MinCounterBits is the smallest per-process tag counter width NewTagged
-// accepts. With 32 bits a process may mutate one word 4·10^9 times before
-// exhausting its tag space. Exhausted tags cause a panic rather than silent
-// ABA.
+// accepts; the width is 64 − valueBits − bits.Len(n). With 32 bits a
+// process may mutate one word (a landed SC or a Write) about 4.3·10^9
+// times before exhausting its tag space: at n=600 the multiword object's
+// X word has exactly 32, ~7 minutes of a tight one-process LL;SC loop.
+// Exhausted tags cause a panic rather than silent ABA.
 const MinCounterBits = 32
 
 // NewTagged returns a Tagged word for n processes holding values of at most
@@ -112,16 +114,15 @@ func (t *Tagged) pack(pid int, counter, value uint64) uint64 {
 
 func (t *Tagged) value(packed uint64) uint64 { return packed & t.valueMask }
 
-// fresh mints a new packed word carrying v with a tag unique to this
-// execution, consuming one counter value of process p.
-func (t *Tagged) fresh(p int, v uint64) uint64 {
-	c := &t.ctx[p*t.stride]
+// fresh mints the packed word carrying v with process p's next tag,
+// whose context is c. It does not spend the tag: the caller advances
+// c.counter once the word is stored. A failed SC stores nothing and no
+// process ever sees its word, so its tag stays unspent.
+func (t *Tagged) fresh(c *taggedCtx, p int, v uint64) uint64 {
 	if c.counter >= t.maxCount {
 		panic("llscword: per-process tag space exhausted; use Ptr for this workload")
 	}
-	n := t.pack(p, c.counter, v)
-	c.counter++
-	return n
+	return t.pack(p, c.counter, v)
 }
 
 // LL implements Word.
@@ -136,7 +137,12 @@ func (t *Tagged) SC(p int, v uint64) bool {
 	if v > t.valueMask {
 		panic(fmt.Sprintf("llscword: SC value %d exceeds %d value bits", v, t.valueBits))
 	}
-	return t.word.CompareAndSwap(t.ctx[p*t.stride].observed, t.fresh(p, v))
+	c := &t.ctx[p*t.stride]
+	if !t.word.CompareAndSwap(c.observed, t.fresh(c, p, v)) {
+		return false
+	}
+	c.counter++
+	return true
 }
 
 // VL implements Word.
@@ -157,7 +163,9 @@ func (t *Tagged) Write(p int, v uint64) {
 	if v > t.valueMask {
 		panic(fmt.Sprintf("llscword: Write value %d exceeds %d value bits", v, t.valueBits))
 	}
-	t.word.Swap(t.fresh(p, v))
+	c := &t.ctx[p*t.stride]
+	t.word.Swap(t.fresh(c, p, v))
+	c.counter++
 }
 
 // PhysBytes reports the physical memory footprint of this word object:

@@ -97,6 +97,27 @@ func TestTaggedCounterExhaustionPanics(t *testing.T) {
 	assertPanics(t, "exhausted SC", func() { w.SC(0, 1) })
 }
 
+// TestTaggedFailedSCSpendsNoTag pins that only a stored word spends a
+// tag: once process 1's SC lands under process 0's link, process 0's
+// failing SCs leave its tag counter where it was.
+func TestTaggedFailedSCSpendsNoTag(t *testing.T) {
+	w := MustTagged(2, 16, 0)
+	w.LL(0)
+	w.LL(1)
+	if !w.SC(1, 1) {
+		t.Fatal("uncontended SC by process 1 failed")
+	}
+	before := w.ctx[0].counter
+	for i := 0; i < 1000; i++ {
+		if w.SC(0, 2) {
+			t.Fatalf("SC %d by process 0 landed after process 1's SC", i)
+		}
+	}
+	if got := w.ctx[0].counter; got != before {
+		t.Fatalf("1000 failed SCs moved process 0's tag counter from %d to %d", before, got)
+	}
+}
+
 func assertPanics(t *testing.T, name string, f func()) {
 	t.Helper()
 	defer func() {

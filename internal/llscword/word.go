@@ -10,8 +10,12 @@
 //     mutations of the word (pid + per-process counter). CAS equality on the
 //     packed word is then exactly "no successful SC or Write since my LL",
 //     which is the LL/SC success rule. The construction is bounded: a process
-//     may mutate a given word at most 2^counterBits times (checked, and far
-//     beyond any realistic execution for the configurations we accept).
+//     may mutate a given word (a landed SC or a Write; a failed SC spends
+//     nothing) at most 2^counterBits − 2 times, then it panics.
+//     counterBits is 64 − valueBits − bits.Len(n), and NewTagged refuses
+//     fewer than 32. At n=600 the multiword object's X word keeps 32 bits:
+//     about 4.3·10^9 mutations per process, or ~7 minutes of a tight
+//     one-process LL;SC loop on it.
 //
 //   - Ptr stores an atomic pointer to an immutable cell. Go's garbage
 //     collector cannot recycle a cell while some process's LL context still

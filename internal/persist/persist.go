@@ -40,18 +40,18 @@
 //
 // A checkpoint must know exactly which logged records its snapshot
 // already contains. Store.Checkpoint first rotates the log to a fresh
-// segment generation, then asks the caller (the server) to run an
-// identity transaction over all shards — a cross-shard atomic
-// UpdateMulti whose callback changes nothing but captures one more
-// sequence number S and copies the values out. Because that transaction
-// conflicts with every shard, S is a total watermark: on every shard,
-// exactly the updates with Seq < S are in the snapshot and those with
-// Seq > S are not. The snapshot (geometry, S, K×W values, CRC) is
-// written to checkpoint.tmp, fsynced, renamed over checkpoint, and only
-// then are the pre-rotation segments deleted. A crash at any point
-// leaves either the old checkpoint with all segments or the new one
-// with the new segments — recovery replays only records with Seq > S,
-// so nothing is lost or double-applied either way.
+// segment generation, then runs an identity transaction over all shards
+// of the map it recovered into — a cross-shard atomic UpdateMulti whose
+// callback changes nothing but draws one more sequence number S and
+// copies the values out. Each shard is the paper's W-word LL/SC object,
+// and that transaction conflicts with every shard, so S is a total
+// watermark: on every shard, exactly the updates with Seq < S are in the
+// snapshot and those with Seq > S are not. The snapshot (geometry, S,
+// K×W values, CRC) is written to checkpoint.tmp, fsynced, renamed over
+// checkpoint, and only then are the pre-rotation segments deleted. A
+// crash at any point leaves either the old checkpoint with all segments
+// or the new one with the new segments — recovery replays only records
+// with Seq > S, so nothing is lost or double-applied either way.
 //
 // # Recovery
 //

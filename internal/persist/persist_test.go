@@ -69,32 +69,10 @@ func applyMulti(t *testing.T, m *shard.Map, st *Store, mode wire.Mode, keys []ui
 	}
 }
 
-// capture is the server's checkpoint capture: an identity transaction
-// over all shards drawing the watermark inside the callback.
-func capture(st *Store, m *shard.Map) func() ([][]uint64, uint64, error) {
-	return func() ([][]uint64, uint64, error) {
-		rows := m.NewSnapshotBuffer()
-		keys := make([]uint64, m.Shards())
-		for i := range keys {
-			keys[i] = m.KeyForShard(i)
-		}
-		var wm uint64
-		h := m.Acquire()
-		defer h.Release()
-		h.UpdateMulti(keys, func(vals [][]uint64) {
-			wm = st.NextSeq()
-			for i, v := range vals {
-				copy(rows[i], v)
-			}
-		})
-		return rows, wm, nil
-	}
-}
-
-// checkpointMap writes a checkpoint through capture.
-func checkpointMap(t *testing.T, st *Store, m *shard.Map) {
+// checkpointMap writes a checkpoint of the store's map.
+func checkpointMap(t *testing.T, st *Store) {
 	t.Helper()
-	if err := st.Checkpoint(capture(st, m)); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -280,7 +258,7 @@ func TestEmptyLogWithValidCheckpoint(t *testing.T) {
 	st, _ := openStore(t, dir, m, Options{})
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(0), []uint64{42, 7})
 	apply(t, m, st, wire.ModeSet, m.KeyForShard(3), []uint64{3, 4})
-	checkpointMap(t, st, m) // logs rotate to fresh, empty segments
+	checkpointMap(t, st) // logs rotate to fresh, empty segments
 	want := snapshotOf(t, m)
 	st.Close()
 
@@ -299,7 +277,7 @@ func TestCheckpointWithNoLogFiles(t *testing.T) {
 	m := newMap(t)
 	st, _ := openStore(t, dir, m, Options{})
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(2), []uint64{11, 13})
-	checkpointMap(t, st, m)
+	checkpointMap(t, st)
 	want := snapshotOf(t, m)
 	st.Close()
 
@@ -383,7 +361,7 @@ func TestSyncWaitsForRetiredSegment(t *testing.T) {
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(0), []uint64{1, 1})
 
 	ckpt := make(chan error, 1)
-	go func() { ckpt <- st.Checkpoint(capture(st, m)) }()
+	go func() { ckpt <- st.Checkpoint() }()
 	<-entered // rotate is fsyncing the first segment
 	synced := make(chan error, 1)
 	go func() { synced <- st.Sync() }()
@@ -472,7 +450,7 @@ func TestOpenUpgradesV1Directory(t *testing.T) {
 	}
 
 	apply(t, m, st, wire.ModeAdd, k(0), []uint64{1, 0})
-	checkpointMap(t, st, m)
+	checkpointMap(t, st)
 	wantRows := snapshotOf(t, m)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -532,7 +510,7 @@ func TestDoubleRecoveryIsIdempotent(t *testing.T) {
 	m := newMap(t)
 	st, _ := openStore(t, dir, m, Options{})
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(0), []uint64{1, 2})
-	checkpointMap(t, st, m)
+	checkpointMap(t, st)
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(1), []uint64{3, 4})
 	apply(t, m, st, wire.ModeSet, m.KeyForShard(2), []uint64{5, 6})
 	want := snapshotOf(t, m)
@@ -653,7 +631,7 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 	m := newMap(t)
 	st, _ := openStore(t, dir, m, Options{})
 	apply(t, m, st, wire.ModeAdd, m.KeyForShard(0), []uint64{1, 1})
-	checkpointMap(t, st, m)
+	checkpointMap(t, st)
 	st.Close()
 
 	path := filepath.Join(dir, ckptFile)

@@ -23,13 +23,13 @@ import (
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = errors.New("persist: store closed")
 
-// Store is the open durability state of one map: the log segment at
-// the current generation, the commit sequence counter, and the
-// group-commit syncer. Append, Sync and NextSeq are safe for concurrent
-// use; Checkpoint serializes with itself.
+// Store is the open durability state of one map: the map it recovered
+// into, the log segment at the current generation, the commit sequence
+// counter, and the group-commit syncer. Append, Sync and NextSeq are
+// safe for concurrent use; Checkpoint serializes with itself.
 type Store struct {
 	dir    string
-	k, w   int
+	m      *shard.Map
 	policy Policy
 
 	seq atomic.Uint64
@@ -56,21 +56,19 @@ type Store struct {
 	closed  bool
 	close1  sync.Once
 
-	failMu  sync.Mutex
-	failure error
-	sick    atomic.Bool
+	failure atomic.Pointer[error] // the first disk error; nil while healthy
 
 	openLog func(path string) (LogFile, error)
 
 	records atomic.Uint64
 	bytes   atomic.Uint64
-	syncs   atomic.Uint64
 	ckpts   atomic.Uint64
 
 	// appendHist times Append's log write. syncHist times each
 	// group-commit round that actually fsynced something — the number
-	// that bounds commit acknowledgment latency under SyncAlways. Both
-	// record nanoseconds into one stripe: their writers hold mu.
+	// that bounds commit acknowledgment latency under SyncAlways — and
+	// its count is Stats().Syncs. Both record nanoseconds into one
+	// stripe: their writers hold mu.
 	appendHist *obs.Histogram
 	syncHist   *obs.Histogram
 }
@@ -115,8 +113,7 @@ func Open(dir string, m *shard.Map, opts Options) (*Store, Recovery, error) {
 	}
 	s := &Store{
 		dir:        dir,
-		k:          k,
-		w:          w,
+		m:          m,
 		policy:     opts.Policy,
 		gen:        maxGen + 1,
 		kick:       make(chan struct{}, 1),
@@ -147,7 +144,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Records:     s.records.Load(),
 		Bytes:       s.bytes.Load(),
-		Syncs:       s.syncs.Load(),
+		Syncs:       s.syncHist.Snapshot().Count,
 		Checkpoints: s.ckpts.Load(),
 		Seq:         s.seq.Load(),
 	}
@@ -165,24 +162,19 @@ func (s *Store) SyncHist() *obs.Histogram { return s.syncHist }
 // guarantee is void until the operator intervenes; under SyncAlways the
 // server surfaces the failure to clients instead of acknowledging.
 func (s *Store) Err() error {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	return s.failure
-}
-
-// Sick reports whether the store has a sticky failure — the lock-free
-// form of Err() != nil, cheap enough for the server to consult on every
-// batch when disk-sick degraded mode is enabled.
-func (s *Store) Sick() bool { return s.sick.Load() }
-
-func (s *Store) fail(err error) {
-	s.failMu.Lock()
-	if s.failure == nil {
-		s.failure = err
+	if err := s.failure.Load(); err != nil {
+		return *err
 	}
-	s.failMu.Unlock()
-	s.sick.Store(true)
+	return nil
 }
+
+// Sick reports whether the store has a sticky failure: Err() != nil in
+// one atomic load, cheap enough for the server to consult on every
+// batch when disk-sick degraded mode is enabled.
+func (s *Store) Sick() bool { return s.failure.Load() != nil }
+
+// fail makes err the sticky failure unless an earlier error already is.
+func (s *Store) fail(err error) { s.failure.CompareAndSwap(nil, &err) }
 
 // NextSeq allocates the next commit sequence number. The server calls
 // it inside every update merge callback; the callback's final run — the
@@ -285,7 +277,6 @@ func (s *Store) syncRound() {
 		if err := s.f.Sync(); err != nil {
 			s.fail(fmt.Errorf("persist: fsync: %w", err))
 		}
-		s.syncs.Add(1)
 		s.syncHist.Observe(0, uint64(time.Since(t0)))
 	}
 	s.mu.Unlock()
@@ -294,16 +285,17 @@ func (s *Store) syncRound() {
 	}
 }
 
-// Checkpoint rewrites the snapshot file and truncates the logs. capture
-// must return a cross-shard-atomic K×W snapshot of the map together with
-// a sequence watermark S such that, on every shard, exactly the updates
-// with Seq < S are reflected in the snapshot — the server implements it
-// as an identity transaction over all shards that calls NextSeq inside
-// its callback. The store rotates the log to a new segment generation
-// first, so records racing the checkpoint keep accumulating in files
-// that survive; the old segments are deleted only after the new
-// checkpoint is durably in place. Crash-safe at every step.
-func (s *Store) Checkpoint(capture func() (rows [][]uint64, watermark uint64, err error)) error {
+// Checkpoint writes a cross-shard-atomic snapshot of the map with its
+// sequence watermark and truncates the logs. It rotates the log to a new
+// segment generation first, so records racing the checkpoint keep
+// accumulating in files that survive. It then cuts the snapshot with an
+// identity UpdateMulti over every shard that draws the watermark S with
+// NextSeq inside its callback: on every shard, exactly the updates with
+// Seq < S are in the snapshot (see the package comment). The old
+// segments are deleted only after the new checkpoint is durably in
+// place. Crash-safe at every step; serving continues, sharing only the
+// cut's brief all-shard transaction with foreground traffic.
+func (s *Store) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	if err := s.Err(); err != nil {
@@ -314,16 +306,20 @@ func (s *Store) Checkpoint(capture func() (rows [][]uint64, watermark uint64, er
 		s.fail(err)
 		return err
 	}
-	rows, watermark, err := capture()
-	if err != nil {
-		// The rotation stands — harmless — but the old checkpoint and
-		// old segments remain authoritative.
-		return err
+	k := s.m.Shards()
+	rows := s.m.NewSnapshotBuffer()
+	keys := make([]uint64, k)
+	for i := range keys {
+		keys[i] = s.m.KeyForShard(i)
 	}
-	if len(rows) != s.k {
-		return fmt.Errorf("persist: checkpoint capture returned %d rows, map has %d shards", len(rows), s.k)
-	}
-	if err := writeCheckpoint(s.dir, s.k, s.w, rows, watermark); err != nil {
+	var watermark uint64
+	s.m.UpdateMulti(keys, func(vals [][]uint64) {
+		watermark = s.NextSeq()
+		for i, v := range vals {
+			copy(rows[i], v)
+		}
+	})
+	if err := writeCheckpoint(s.dir, k, s.m.W(), rows, watermark); err != nil {
 		s.fail(err)
 		return err
 	}

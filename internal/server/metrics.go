@@ -2,12 +2,14 @@ package server
 
 import (
 	"mwllsc/internal/obs"
+	"mwllsc/internal/wire"
 )
 
 // Server counter indices within Server.ctrs — one striped bank
 // replaces the former per-field shared atomics, so per-request bumps
 // land in the cache lines of the registry slot the batch executor
-// already holds (see internal/obs).
+// already holds (see internal/obs). The counters catalog below names
+// each one's surfaces.
 const (
 	cConnsTotal = iota
 	cConnsOpen
@@ -31,6 +33,47 @@ const (
 	cDegraded
 	numCounters
 )
+
+// counters is the one catalog of the striped counters: each one's
+// llscd_* series and help text, which RegisterMetrics registers as a
+// counter or, when gauge is set, a gauge, and the address of the Stats
+// word that Server.Stats fills from it.
+var counters = [numCounters]struct {
+	name, help string
+	gauge      bool
+	field      func(st *wire.ServerStats) *uint64
+}{
+	cConnsTotal: {"llscd_connections_total", "Connections accepted since start.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.ConnsTotal }},
+	cConnsOpen: {"llscd_connections_open", "Connections currently open.", true,
+		func(st *wire.ServerStats) *uint64 { return &st.ConnsOpen }},
+	cReqs: {"llscd_requests_total", "Requests executed, all opcodes.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Reqs }},
+	cUpdates: {"llscd_updates_total", "Update requests executed.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Updates }},
+	cReads: {"llscd_reads_total", "Read requests executed.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Reads }},
+	cSnapshots: {"llscd_snapshots_total", "Snapshot and SnapshotAtomic requests executed.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Snapshots }},
+	cMultis: {"llscd_multis_total", "UpdateMulti requests executed.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Multis }},
+	cBatches: {"llscd_batches_total", "Handle-acquire batches executed.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Batches }},
+	cBadReqs: {"llscd_bad_requests_total", "Requests rejected with a non-OK status.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.BadReqs }},
+	cPersistErrs: {"llscd_persist_errors_total", "Failed persistence rounds (append or fsync).", false,
+		func(st *wire.ServerStats) *uint64 { return &st.PersistErrs }},
+	cConnsShed: {"llscd_conns_shed_total", "Connections closed at accept by the max-conns cap.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.ShedConns }},
+	cBusy: {"llscd_busy_rejects_total", "Requests rejected StatusBusy by admission control.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.BusyRejects }},
+	cEvictions: {"llscd_evictions_total", "Connections evicted for stalling on their responses.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.Evictions }},
+	cIdleClosed: {"llscd_idle_closes_total", "Connections closed by the read-idle timeout.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.IdleCloses }},
+	cDegraded: {"llscd_degraded_rejects_total", "Updates rejected StatusUnavailable in disk-sick degraded mode.", false,
+		func(st *wire.ServerStats) *uint64 { return &st.DegradedRejects }},
+}
 
 // Metrics is the server's histogram set. Every server records one, as
 // it does its counters: New builds it unless WithMetrics supplies one.
@@ -66,30 +109,23 @@ func WithMetrics(m *Metrics) Option {
 }
 
 // RegisterMetrics registers the server's full metric surface on reg
-// under llscd_* names: the striped request counters, the histogram set,
-// map geometry, registry-slot contention, the txn engine's helping/retry
-// counters, the tracer's span count, and — when a durability store is
-// attached — the persistence counters and append/fsync latency
-// histograms. The admin plane's /metrics and /statsz render exactly
-// this registry, so their totals match the Stats wire opcode by
-// construction: both read the same striped banks.
+// under llscd_* names: the striped counters of the counters catalog,
+// the histogram set, map geometry, registry-slot contention, the txn
+// engine's helping/retry counters, the tracer's span count, and — when
+// a durability store is attached — the persistence counters and
+// append/fsync latency histograms. The admin plane's /metrics and
+// /statsz render exactly this registry, so their totals match the Stats
+// wire opcode by construction: both read the same striped banks through
+// the same catalog.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	ctr := func(i int) func() uint64 { return func() uint64 { return s.ctrs.Sum(i) } }
-	reg.Counter("llscd_connections_total", "Connections accepted since start.", ctr(cConnsTotal))
-	reg.Gauge("llscd_connections_open", "Connections currently open.", ctr(cConnsOpen))
-	reg.Counter("llscd_requests_total", "Requests executed, all opcodes.", ctr(cReqs))
-	reg.Counter("llscd_updates_total", "Update requests executed.", ctr(cUpdates))
-	reg.Counter("llscd_reads_total", "Read requests executed.", ctr(cReads))
-	reg.Counter("llscd_snapshots_total", "Snapshot and SnapshotAtomic requests executed.", ctr(cSnapshots))
-	reg.Counter("llscd_multis_total", "UpdateMulti requests executed.", ctr(cMultis))
-	reg.Counter("llscd_batches_total", "Handle-acquire batches executed.", ctr(cBatches))
-	reg.Counter("llscd_bad_requests_total", "Requests rejected with a non-OK status.", ctr(cBadReqs))
-	reg.Counter("llscd_persist_errors_total", "Failed persistence rounds (append or fsync).", ctr(cPersistErrs))
-	reg.Counter("llscd_conns_shed_total", "Connections closed at accept by the max-conns cap.", ctr(cConnsShed))
-	reg.Counter("llscd_busy_rejects_total", "Requests rejected StatusBusy by admission control.", ctr(cBusy))
-	reg.Counter("llscd_evictions_total", "Connections evicted for stalling on their responses.", ctr(cEvictions))
-	reg.Counter("llscd_idle_closes_total", "Connections closed by the read-idle timeout.", ctr(cIdleClosed))
-	reg.Counter("llscd_degraded_rejects_total", "Updates rejected StatusUnavailable in disk-sick degraded mode.", ctr(cDegraded))
+	for i, c := range counters {
+		read := func() uint64 { return s.ctrs.Sum(i) }
+		if c.gauge {
+			reg.Gauge(c.name, c.help, read)
+		} else {
+			reg.Counter(c.name, c.help, read)
+		}
+	}
 
 	reg.Gauge("llscd_shards", "Map geometry: shard count K.", func() uint64 { return uint64(s.m.Shards()) })
 	reg.Gauge("llscd_slots", "Map geometry: registry process slots N.", func() uint64 { return uint64(s.m.N()) })

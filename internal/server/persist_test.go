@@ -3,10 +3,12 @@ package server_test
 import (
 	"context"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,7 +97,7 @@ func TestPersistIntegration(t *testing.T) {
 	// Checkpoint while a second round of traffic is in flight: the
 	// watermark must cleanly split records between snapshot and logs.
 	ckptDone := make(chan error, 1)
-	go func() { ckptDone <- s.Checkpoint() }()
+	go func() { ckptDone <- st.Checkpoint() }()
 	load()
 	if err := <-ckptDone; err != nil {
 		t.Fatal(err)
@@ -141,12 +143,106 @@ func TestPersistIntegration(t *testing.T) {
 	}
 }
 
-// TestCheckpointWithoutStore verifies the error path when no durability
-// layer is attached.
-func TestCheckpointWithoutStore(t *testing.T) {
-	s := newServer(t, 2, 2, 1)
-	if err := s.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on an in-memory server succeeded")
+// gatedLog is a log segment whose Sync, once armed, waits for gate to
+// close before it fsyncs.
+type gatedLog struct {
+	persist.LogFile
+	armed *atomic.Bool
+	gate  chan struct{}
+}
+
+func (l *gatedLog) Sync() error {
+	if l.armed.Load() {
+		<-l.gate
+	}
+	return l.LogFile.Sync()
+}
+
+// TestReadWaitsForDurableWrite pins that under SyncAlways a read is not
+// answered while an update it observed still waits for its fsync: a
+// power loss in that window would take back the value the read
+// returned. Client A's Add waits in a group-commit round whose fsync is
+// held; client B, on its own connection, reads the key and must get no
+// answer until the round completes.
+func TestReadWaitsForDurableWrite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	m, err := shard.NewMap(4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	gate := make(chan struct{})
+	st, _, err := persist.Open(dir, m, persist.Options{Policy: persist.SyncAlways,
+		OpenLog: func(path string) (persist.LogFile, error) {
+			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return nil, err
+			}
+			return &gatedLog{LogFile: f, armed: &armed, gate: gate}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := server.New(m, server.WithPersist(st))
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	defer s.Close()
+	a, err := client.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := client.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	// Deferred last so it runs first: Server.Close waits for A's
+	// connection, which waits for the gate.
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+
+	ctx := context.Background()
+	const key = 7
+	armed.Store(true)
+	added := make(chan error, 1)
+	go func() {
+		_, err := a.Add(ctx, key, []uint64{1, 0})
+		added <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); st.Stats().Records == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("A's update was never appended")
+		}
+	}
+	type result struct {
+		v   []uint64
+		err error
+	}
+	read := make(chan result, 1)
+	go func() {
+		v, err := b.Read(ctx, key)
+		read <- result{v, err}
+	}()
+	select {
+	case r := <-read:
+		t.Fatalf("read answered %v (%v) while the write it saw waited for its fsync", r.v, r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	openGate()
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	r := <-read
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.v[0] != 1 {
+		t.Fatalf("read word 0 = %d after the write's fsync, want 1", r.v[0])
 	}
 }
 

@@ -78,8 +78,9 @@ func WithTracer(t *trace.Tracer) Option {
 // one write after the batch executes — outside the registry slot, so
 // disk I/O never pins a process id — and, under persist.SyncAlways, the
 // batch's responses are held until a group-commit fsync covers its
-// records. The store must have been opened over the same map this
-// server serves.
+// records; a batch that committed none, such as a read-only one, still
+// waits for a round. The store must have been opened over the same map
+// this server serves.
 func WithPersist(st *persist.Store) Option {
 	return func(s *Server) { s.persist = st }
 }
@@ -335,32 +336,15 @@ func (s *Server) Close() error {
 
 // Stats returns a point-in-time snapshot of the server counters plus
 // the served map's geometry, folding the striped banks into the wire
-// totals. The latency quantile words are filled from the server's
-// Service histogram and FsyncP99 from the durability store (zero
-// without one).
+// totals at the fields the counters catalog names. The latency quantile
+// words are filled from the server's Service histogram and FsyncP99
+// from the durability store (zero without one).
 func (s *Server) Stats() wire.ServerStats {
 	var c [numCounters]uint64
 	s.ctrs.Sums(c[:])
-	st := wire.ServerStats{
-		Shards:      uint64(s.m.Shards()),
-		Slots:       uint64(s.m.N()),
-		Words:       uint64(s.m.W()),
-		ConnsTotal:  c[cConnsTotal],
-		ConnsOpen:   c[cConnsOpen],
-		Reqs:        c[cReqs],
-		Updates:     c[cUpdates],
-		Reads:       c[cReads],
-		Snapshots:   c[cSnapshots],
-		Multis:      c[cMultis],
-		Batches:     c[cBatches],
-		BadReqs:     c[cBadReqs],
-		PersistErrs: c[cPersistErrs],
-
-		ShedConns:       c[cConnsShed],
-		BusyRejects:     c[cBusy],
-		Evictions:       c[cEvictions],
-		IdleCloses:      c[cIdleClosed],
-		DegradedRejects: c[cDegraded],
+	st := wire.ServerStats{Shards: uint64(s.m.Shards()), Slots: uint64(s.m.N()), Words: uint64(s.m.W())}
+	for i, v := range c {
+		*counters[i].field(&st) = v
 	}
 	snap := s.metrics.Service.Snapshot()
 	st.LatP50 = uint64(snap.Quantile(0.50))
@@ -708,7 +692,10 @@ func (s *Server) run(cs *connState) int {
 // persistBatch makes the batch's committed updates — the slots with a
 // nonzero Seq — durable: after execution, outside the registry slot,
 // before the responses are written. The record slices alias the batch's
-// decode buffers, which stay untouched until the next batch.
+// decode buffers, which stay untouched until the next batch. Under
+// SyncAlways a batch that committed no update still waits for a
+// group-commit round, so a read is not answered while an update it
+// observed waits for its fsync.
 func (s *Server) persistBatch(cs *connState, p int) {
 	if s.persist == nil {
 		return
@@ -720,12 +707,18 @@ func (s *Server) persistBatch(cs *connState, p int) {
 			cs.recs = append(cs.recs, persist.Record{Seq: br.seq, Op: r.Op, Mode: r.Mode, Key: r.Key, Keys: r.Keys, Args: r.Args})
 		}
 	}
+	always := s.persist.Policy() == persist.SyncAlways
 	if len(cs.recs) == 0 {
+		if always {
+			// The round's error fails no answer here: a sick store still
+			// serves reads (degraded mode), and a closed one returns at once.
+			_ = s.persist.Sync()
+			cs.mark(trace.StageFsync)
+		}
 		return
 	}
 	err := s.persist.Append(cs.recs)
 	cs.mark(trace.StagePersist)
-	always := s.persist.Policy() == persist.SyncAlways
 	if err == nil && always {
 		err = s.persist.Sync()
 		cs.mark(trace.StageFsync)
@@ -859,37 +852,6 @@ func (cs *connState) flush() {
 		cs.buf = make([]byte, 0, writeBufCap)
 	}
 	cs.buf = cs.buf[:0]
-}
-
-// Checkpoint rewrites the durability store's snapshot file and
-// truncates its logs (see persist.Store.Checkpoint). The watermark
-// capture runs as an identity transaction over all shards: cross-shard
-// atomic, so the snapshot is one consistent cut, and conflicting with
-// every shard, so the sequence number drawn inside the callback cleanly
-// separates the updates the snapshot contains from those it does not.
-// Serving continues concurrently; only the capture's brief all-shard
-// lock is shared with foreground traffic.
-func (s *Server) Checkpoint() error {
-	if s.persist == nil {
-		return errors.New("server: no durability store attached")
-	}
-	return s.persist.Checkpoint(func() ([][]uint64, uint64, error) {
-		rows := s.m.NewSnapshotBuffer()
-		keys := make([]uint64, s.m.Shards())
-		for i := range keys {
-			keys[i] = s.m.KeyForShard(i)
-		}
-		var watermark uint64
-		h := s.m.Acquire()
-		defer h.Release()
-		h.UpdateMulti(keys, func(vals [][]uint64) {
-			watermark = s.persist.NextSeq()
-			for i, v := range vals {
-				copy(rows[i], v)
-			}
-		})
-		return rows, watermark, nil
-	})
 }
 
 // execute runs one slot's request, filling its response (reset when

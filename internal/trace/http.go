@@ -64,7 +64,9 @@ func (t *Tracer) serve(w http.ResponseWriter, r *http.Request, kind string, span
 		}
 		fmt.Fprintf(w, "%s traces: %d span(s)  sample=%s  slow-threshold=%s  retired=%d\n",
 			kind, len(spans), sample, slowThr, st.Retired)
-		fmt.Fprintf(w, "%-16s %-4s %-8s %-7s %11s | %10s %10s %10s %10s %10s %10s %10s | %8s %5s\n",
+		// The key column fits 2^64-1 and each duration column 12
+		// characters, up to 9.999999999s, so the rows stay aligned.
+		fmt.Fprintf(w, "%-16s %-4s %-20s %-7s %12s | %12s %12s %12s %12s %12s %12s %12s | %8s %5s\n",
 			"trace", "op", "key", "kind", "total",
 			"decode", "queue", "acquire", "execute", "persist", "fsync", "flush",
 			"attempts", "batch")
@@ -74,7 +76,7 @@ func (t *Tracer) serve(w http.ResponseWriter, r *http.Request, kind string, span
 			if s.Sampled {
 				knd = "sample"
 			}
-			fmt.Fprintf(w, "%016x %-4d %-8d %-7s %11s | %10s %10s %10s %10s %10s %10s %10s | %8d %5d\n",
+			fmt.Fprintf(w, "%016x %-4d %-20d %-7s %12s | %12s %12s %12s %12s %12s %12s %12s | %8d %5d\n",
 				s.TraceID, s.Op, s.Key, knd, time.Duration(s.Total),
 				time.Duration(s.Stages[StageDecode]), time.Duration(s.Stages[StageQueue]),
 				time.Duration(s.Stages[StageAcquire]), time.Duration(s.Stages[StageExecute]),

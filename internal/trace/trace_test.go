@@ -3,10 +3,12 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +198,28 @@ func TestTracezAndSlowzHandlers(t *testing.T) {
 	}
 	if !strings.Contains(body, "sample=1/64  slow-threshold=off  retired=2\n") {
 		t.Fatalf("/slowz text header:\n%s", body)
+	}
+
+	// A 20-digit key, a 123.456789ms stage and a 1.123456789s total
+	// keep every column under its header.
+	end := time.Now()
+	wide := Span{TraceID: 0x3333, Key: math.MaxUint64, Start: end.Add(-time.Second).UnixNano(), Total: 1123456789}
+	wide.Stages[StageFsync], wide.Stages[StageFlush] = 123456789, 1000000000
+	tr.Retire(&wide, end)
+	rec = httptest.NewRecorder()
+	tr.ServeSlowz(rec, httptest.NewRequest("GET", "/slowz?format=text", nil))
+	bars := func(line string) (at []int) {
+		for i, r := range []rune(line) {
+			if r == '|' {
+				at = append(at, i)
+			}
+		}
+		return at
+	}
+	lines := strings.Split(rec.Body.String(), "\n")
+	row := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, "18446744073709551615") })
+	if row < 0 || !slices.Equal(bars(lines[row]), bars(lines[1])) {
+		t.Fatalf("/slowz text: the wide span's columns are not under the header's:\n%s", rec.Body)
 	}
 
 	// With sampling and the threshold off, the header says so in words.

@@ -651,36 +651,38 @@ type ServerStats struct {
 // the tolerant-decode rule above, vice versa).
 const statsWords = 12
 
-// Append encodes s in field order.
-func (s *ServerStats) Append(dst []uint64) []uint64 {
-	return append(dst,
-		s.Shards, s.Slots, s.Words,
-		s.ConnsTotal, s.ConnsOpen,
-		s.Reqs, s.Updates, s.Reads, s.Snapshots, s.Multis,
-		s.Batches, s.BadReqs, s.PersistErrs,
-		s.LatP50, s.LatP99, s.LatP999, s.FsyncP99,
-		s.ShedConns, s.BusyRejects, s.Evictions, s.IdleCloses, s.DegradedRejects)
+// words lists the addresses of s's words in wire order, numbered from 0
+// as docs/WIRE.md does: the one field list Append and DecodeStats read.
+func (s *ServerStats) words() []*uint64 {
+	return []*uint64{
+		&s.Shards, &s.Slots, &s.Words,
+		&s.ConnsTotal, &s.ConnsOpen,
+		&s.Reqs, &s.Updates, &s.Reads, &s.Snapshots, &s.Multis,
+		&s.Batches, &s.BadReqs, &s.PersistErrs,
+		&s.LatP50, &s.LatP99, &s.LatP999, &s.FsyncP99,
+		&s.ShedConns, &s.BusyRejects, &s.Evictions, &s.IdleCloses, &s.DegradedRejects,
+	}
 }
 
-// DecodeStats decodes a stats row previously produced by Append.
+// Append encodes s in field order.
+func (s *ServerStats) Append(dst []uint64) []uint64 {
+	for _, w := range s.words() {
+		dst = append(dst, *w)
+	}
+	return dst
+}
+
+// DecodeStats decodes a stats row previously produced by Append. The
+// optional trailing words are newest-last; a shorter row from an older
+// server leaves them zero.
 func DecodeStats(row []uint64) (ServerStats, error) {
 	if len(row) < statsWords {
 		return ServerStats{}, fmt.Errorf("wire: stats row has %d words, want >= %d", len(row), statsWords)
 	}
-	st := ServerStats{
-		Shards: row[0], Slots: row[1], Words: row[2],
-		ConnsTotal: row[3], ConnsOpen: row[4],
-		Reqs: row[5], Updates: row[6], Reads: row[7], Snapshots: row[8], Multis: row[9],
-		Batches: row[10], BadReqs: row[11],
-	}
-	// Optional trailing words, newest-last; a shorter row from an older
-	// server leaves them zero.
-	opt := []*uint64{&st.PersistErrs, &st.LatP50, &st.LatP99, &st.LatP999, &st.FsyncP99,
-		&st.ShedConns, &st.BusyRejects, &st.Evictions, &st.IdleCloses, &st.DegradedRejects}
-	for i, p := range opt {
-		if len(row) > statsWords+i {
-			*p = row[statsWords+i]
-		}
+	var st ServerStats
+	ws := st.words()
+	for i := range min(len(row), len(ws)) {
+		*ws[i] = row[i]
 	}
 	return st, nil
 }
