@@ -182,4 +182,12 @@
 // bounded tag space) and SubstratePtr (pointer-to-immutable-cell, exact and
 // unbounded, one small allocation per mutation). The E5 experiment
 // (cmd/llscbench -e e5) quantifies the trade-off.
+//
+// The paper's buffers need only be safe registers: a read that overlaps a
+// write may return anything. On amd64 (without -race) they are plain
+// words copied with one memmove, which x86's TSO order makes sound; the
+// argument is in internal/mem/copy_plain.go. Every other build, -race
+// included, copies them word by word through sync/atomic. The AM-style
+// baseline's buffers follow the same rule, so E1 and E3 compare like with
+// like.
 package mwllsc

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mwllsc/internal/llscword"
+	"mwllsc/internal/mem"
 	"mwllsc/internal/mwobj"
 )
 
@@ -45,9 +46,9 @@ type AMStyle struct {
 	n, w int
 
 	x       llscword.Word
-	pool    []atomic.Uint64 // [pid][slot][word]: n * 2n * w
-	helpBuf []atomic.Uint64 // [helper][target][word]: n * n * w
-	helpTag []amHelpTag     // one pointer cell per process
+	pool    *mem.RealBuffers // buffer pid*2n+slot: n * 2n buffers
+	helpBuf *mem.RealBuffers // buffer helper*n+target: n * n buffers
+	helpTag []amHelpTag      // one pointer cell per process
 
 	procs []amProc
 
@@ -86,8 +87,8 @@ func NewAMStyle(n, w int, initial []uint64) (*AMStyle, error) {
 	o := &AMStyle{
 		n:       n,
 		w:       w,
-		pool:    make([]atomic.Uint64, n*2*n*w),
-		helpBuf: make([]atomic.Uint64, n*n*w),
+		pool:    mem.NewRealBuffers(n*2*n, w),
+		helpBuf: mem.NewRealBuffers(n*n, w),
 		helpTag: make([]amHelpTag, n),
 		procs:   make([]amProc, n),
 		pidBits: uint(bits.Len(uint(n - 1))),
@@ -104,9 +105,7 @@ func NewAMStyle(n, w int, initial []uint64) (*AMStyle, error) {
 		o.x = llscword.NewPtr(n, initX, true)
 	}
 	// POOL[0][0] holds the initial value; process 0's cursor starts past it.
-	for j, v := range initial {
-		o.pool[j].Store(v)
-	}
+	o.pool.WriteBuf(0, o.poolBuf(0, 0), initial)
 	o.procs[0].cursor = 1
 	for p := range o.procs {
 		o.procs[p].lastVal = make([]uint64, w)
@@ -126,17 +125,8 @@ func (o *AMStyle) xIdx(x uint64) int {
 }
 func (o *AMStyle) xSeq(x uint64) int { return int(x & (1<<o.seqBits - 1)) }
 
-func (o *AMStyle) poolBase(pid, slot int) int { return (pid*2*o.n + slot) * o.w }
-func (o *AMStyle) helpBase(helper, target int) int {
-	return (helper*o.n + target) * o.w
-}
-
-func (o *AMStyle) copyPool(pid, slot int, dst []uint64) {
-	base := o.poolBase(pid, slot)
-	for i := range dst {
-		dst[i] = o.pool[base+i].Load()
-	}
-}
+func (o *AMStyle) poolBuf(pid, slot int) int       { return pid*2*o.n + slot }
+func (o *AMStyle) helpSlot(helper, target int) int { return helper*o.n + target }
 
 // N implements mwobj.MW.
 func (o *AMStyle) N() int { return o.n }
@@ -156,7 +146,7 @@ func (o *AMStyle) LL(p int, dst []uint64) {
 
 	x := o.x.LL(p)
 	pr.xval = x
-	o.copyPool(o.xPid(x), o.xIdx(x), dst)
+	o.pool.ReadBuf(p, o.poolBuf(o.xPid(x), o.xIdx(x)), dst)
 	if o.x.VL(p) {
 		// No successful SC overlapped the copy: dst is current and the
 		// link is live; obligations O1 and O2 hold.
@@ -171,12 +161,9 @@ func (o *AMStyle) LL(p int, dst []uint64) {
 		// dead link correctly fails the subsequent SC.
 		x = o.x.LL(p)
 		pr.xval = x
-		o.copyPool(o.xPid(x), o.xIdx(x), dst)
+		o.pool.ReadBuf(p, o.poolBuf(o.xPid(x), o.xIdx(x)), dst)
 		if !o.x.VL(p) {
-			base := o.helpBase(ht.helper, p)
-			for i := range dst {
-				dst[i] = o.helpBuf[base+i].Load()
-			}
+			o.helpBuf.ReadBuf(p, o.helpSlot(ht.helper, p), dst)
 		}
 	}
 	// Not helped: fewer than 2N successful SCs overlapped, so the slot was
@@ -196,10 +183,7 @@ func (o *AMStyle) SC(p int, src []uint64) bool {
 	// Help the process whose turn it is as seq moves from s to s+1.
 	t := o.xSeq(pr.xval) % o.n
 	if ht := o.helpTag[t].ptr.Load(); ht != nil && ht.pending {
-		base := o.helpBase(p, t)
-		for i, v := range pr.lastVal {
-			o.helpBuf[base+i].Store(v)
-		}
+		o.helpBuf.WriteBuf(p, o.helpSlot(p, t), pr.lastVal)
 		// The value handed over must still be current at the handoff.
 		if o.x.VL(p) {
 			o.helpTag[t].ptr.CompareAndSwap(ht, &amHelpState{asn: ht.asn, helper: p})
@@ -207,10 +191,7 @@ func (o *AMStyle) SC(p int, src []uint64) bool {
 	}
 
 	slot := pr.cursor
-	base := o.poolBase(p, slot)
-	for i, v := range src {
-		o.pool[base+i].Store(v)
-	}
+	o.pool.WriteBuf(p, o.poolBuf(p, slot), src)
 	ok := o.x.SC(p, o.packX(p, slot, (o.xSeq(pr.xval)+1)%(2*o.n)))
 	if ok {
 		pr.cursor = (pr.cursor + 1) % (2 * o.n)
@@ -225,10 +206,10 @@ func (o *AMStyle) VL(p int) bool { return o.x.VL(p) }
 // buffers) and N+1 LL/SC words — the Θ(N²W) the paper cuts to O(NW).
 func (o *AMStyle) Space() mwobj.Space {
 	s := mwobj.Space{
-		RegisterWords: int64(len(o.pool)) + int64(len(o.helpBuf)),
+		RegisterWords: 3 * int64(o.n) * int64(o.n) * int64(o.w),
 		LLSCWords:     int64(o.n) + 1,
 	}
-	s.PhysBytes = int64(len(o.pool))*8 + int64(len(o.helpBuf))*8 +
+	s.PhysBytes = o.pool.PhysBytes() + o.helpBuf.PhysBytes() +
 		int64(len(o.helpTag))*64 + int64(o.n)*(int64(o.w)*8+64)
 	if pb, ok := o.x.(mwobj.PhysByteser); ok {
 		s.PhysBytes += pb.PhysBytes()

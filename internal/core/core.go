@@ -171,7 +171,7 @@ func (o *Object) LL(p int, retval []uint64) {
 			o.memory.Trace(p, mem.Event{Kind: mem.EvLLCheckedHelp, Arg: 1})
 		}
 		if o.stats != nil {
-			o.stats.LLHelped.Add(1)
+			o.stats.add(p, statLLHelped)
 		}
 		// Line 5: retry once for the *current* value: x_p = LL(X).
 		lp.x = o.x.LL(p)
@@ -206,7 +206,7 @@ func (o *Object) LL(p int, retval []uint64) {
 	o.buf.WriteBuf(p, lp.mybuf, retval)
 
 	if o.stats != nil {
-		o.stats.LLTotal.Add(1)
+		o.stats.add(p, statLL)
 	}
 	if o.traced {
 		o.memory.Trace(p, mem.Event{Kind: mem.EvLLDone, Arg: lp.mybuf})
@@ -232,7 +232,7 @@ func (o *Object) SC(p int, v []uint64) bool {
 	// yet). The VL(X) confirms (buf, seq) = (b, s) is still current.
 	if !o.debug.SkipBankFix && o.bank[s].LL(p) != b && o.x.VL(p) {
 		if o.stats != nil {
-			o.stats.BankFixes.Add(1)
+			o.stats.add(p, statBankFix)
 		}
 		o.bank[s].SC(p, b)
 	}
@@ -247,7 +247,7 @@ func (o *Object) SC(p int, v []uint64) bool {
 			// Line 16: the handoff succeeded; we exchanged buffers with q.
 			lp.mybuf = o.geom.HelpBuf(h)
 			if o.stats != nil {
-				o.stats.Handoffs.Add(1)
+				o.stats.add(p, statHandoff)
 			}
 			if o.traced {
 				o.memory.Trace(p, mem.Event{Kind: mem.EvSCHandoff, Arg: lp.mybuf})
@@ -264,14 +264,14 @@ func (o *Object) SC(p int, v []uint64) bool {
 	// Line 19: attempt to install (mybuf, s+1) as the new tag.
 	ok := o.x.SC(p, o.geom.PackX(lp.mybuf, next))
 	if o.stats != nil {
-		o.stats.SCTotal.Add(1)
+		o.stats.add(p, statSC)
 	}
 	if ok {
 		// Line 20: our buffer now holds the current value; take ownership
 		// of the expired buffer e instead.
 		lp.mybuf = e
 		if o.stats != nil {
-			o.stats.SCSuccess.Add(1)
+			o.stats.add(p, statSCSuccess)
 		}
 		if o.traced {
 			o.memory.Trace(p, mem.Event{Kind: mem.EvSCPublished, Arg: lp.mybuf})

@@ -343,6 +343,37 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestStatsStripesSumExactly counts from more process ids than Stats has
+// stripes, so ids share stripes. Each round adds counter k k+1 times, so a
+// counter summed into the wrong StatsSnapshot field shows too.
+func TestStatsStripesSumExactly(t *testing.T) {
+	const procs, rounds = 3*statsStripes + 5, 1000
+	var st Stats
+	var wg sync.WaitGroup
+	for p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for k := range nStats {
+					for range int(k) + 1 {
+						st.add(p, k)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const unit = procs * rounds
+	want := StatsSnapshot{
+		LLTotal: unit, LLHelped: 2 * unit, SCTotal: 3 * unit,
+		SCSuccess: 4 * unit, Handoffs: 5 * unit, BankFixes: 6 * unit,
+	}
+	if got := st.Snapshot(); got != want {
+		t.Fatalf("Snapshot = %+v, want %+v", got, want)
+	}
+}
+
 func TestSpaceAccounting(t *testing.T) {
 	for _, cfg := range []struct{ n, w int }{{1, 1}, {4, 8}, {16, 64}} {
 		o := newObject(t, cfg.n, cfg.w, make([]uint64, cfg.w))

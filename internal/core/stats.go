@@ -2,48 +2,83 @@ package core
 
 import "sync/atomic"
 
-// Stats counts algorithm events across all processes of one Object; pass a
-// Stats to New to enable. All counters are safe for concurrent use and for
+// Stats counts algorithm events across all processes of one Object, or of
+// every Object it is passed to; pass a Stats to New to enable. The zero
+// value is ready to use. All counters are safe for concurrent use and for
 // reading while the object is in use. Stats quantify the helping mechanism
 // (paper §2.2-§2.3) for experiment E4.
+//
+// Process p counts in stripe p mod statsStripes, each stripe on cache lines
+// of its own, so processes counting their LLs and SCs do not pass one line
+// between them; Snapshot sums the stripes.
 type Stats struct {
-	// LLTotal counts completed LL operations.
-	LLTotal atomic.Int64
-	// LLHelped counts LL operations that found themselves helped at
-	// Line 4, i.e. at least 2N successful SCs overlapped their first
-	// buffer read.
-	LLHelped atomic.Int64
-	// SCTotal counts completed SC operations (successful or not).
-	SCTotal atomic.Int64
-	// SCSuccess counts successful SC operations.
-	SCSuccess atomic.Int64
-	// Handoffs counts successful buffer handoffs at Line 15 (an SC
-	// donating its buffer to an announced LL).
-	Handoffs atomic.Int64
-	// BankFixes counts Line 13 executions (an SC repairing a Bank entry
-	// its predecessor had not yet recorded).
-	BankFixes atomic.Int64
+	stripes [statsStripes]statsStripe
 }
 
-// Snapshot returns a plain-struct copy of the counters.
+// statsStripes is how many stripes a Stats counts in.
+const statsStripes = 16
+
+// statsStripe is one stripe's counters, padded to 128 bytes: two stripes'
+// counters are 80 bytes apart, so they never share a 64-byte cache line,
+// however the Stats is aligned.
+type statsStripe struct {
+	n [nStats]atomic.Int64
+	_ [128 - nStats*8]byte
+}
+
+// stat names one counter of a stripe; StatsSnapshot documents each.
+type stat uint8
+
+const (
+	statLL stat = iota
+	statLLHelped
+	statSC
+	statSCSuccess
+	statHandoff
+	statBankFix
+	nStats
+)
+
+// add counts one event of kind k by process p.
+func (s *Stats) add(p int, k stat) {
+	s.stripes[uint(p)%statsStripes].n[k].Add(1)
+}
+
+// Snapshot returns the counters summed over all processes.
 func (s *Stats) Snapshot() StatsSnapshot {
+	var t [nStats]int64
+	for i := range s.stripes {
+		for k := range t {
+			t[k] += s.stripes[i].n[k].Load()
+		}
+	}
 	return StatsSnapshot{
-		LLTotal:   s.LLTotal.Load(),
-		LLHelped:  s.LLHelped.Load(),
-		SCTotal:   s.SCTotal.Load(),
-		SCSuccess: s.SCSuccess.Load(),
-		Handoffs:  s.Handoffs.Load(),
-		BankFixes: s.BankFixes.Load(),
+		LLTotal:   t[statLL],
+		LLHelped:  t[statLLHelped],
+		SCTotal:   t[statSC],
+		SCSuccess: t[statSCSuccess],
+		Handoffs:  t[statHandoff],
+		BankFixes: t[statBankFix],
 	}
 }
 
 // StatsSnapshot is a point-in-time copy of Stats.
 type StatsSnapshot struct {
-	LLTotal   int64
-	LLHelped  int64
-	SCTotal   int64
+	// LLTotal counts completed LL operations.
+	LLTotal int64
+	// LLHelped counts LL operations that found themselves helped at
+	// Line 4, i.e. at least 2N successful SCs overlapped their first
+	// buffer read.
+	LLHelped int64
+	// SCTotal counts completed SC operations (successful or not).
+	SCTotal int64
+	// SCSuccess counts successful SC operations.
 	SCSuccess int64
-	Handoffs  int64
+	// Handoffs counts successful buffer handoffs at Line 15 (an SC
+	// donating its buffer to an announced LL).
+	Handoffs int64
+	// BankFixes counts Line 13 executions (an SC repairing a Bank entry
+	// its predecessor had not yet recorded).
 	BankFixes int64
 }
 

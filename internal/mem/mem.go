@@ -18,8 +18,9 @@ type Word = llscword.Word
 // Buffers is an array of fixed-size multi-word buffers of safe registers
 // (the paper's BUF[0..count-1], each of W words). The paper requires only
 // safe-register semantics per word: a read overlapping a write may return
-// anything. The Real backend is stronger (per-word atomic); the simulator
-// models the weak semantics faithfully.
+// anything. The Real backend gives exactly that on amd64 (plain copies) and
+// per-word atomics elsewhere and under -race; see RealBuffers. The
+// simulator models the weak semantics faithfully, torn reads included.
 type Buffers interface {
 	// W returns the number of words per buffer.
 	W() int

@@ -34,7 +34,7 @@ func (s Substrate) String() string {
 }
 
 // Real is the production Memory backend: words are llscword objects and
-// buffers are flat arrays of per-word atomics. Trace events are discarded.
+// buffers are RealBuffers. Trace events are discarded.
 type Real struct {
 	n         int
 	substrate Substrate
@@ -68,9 +68,7 @@ func (r *Real) NewWord(kind WordKind, idx int, valueBits uint, init uint64) Word
 }
 
 // NewBuffers implements Memory.
-func (r *Real) NewBuffers(count, w int) Buffers {
-	return &realBuffers{w: w, words: make([]atomic.Uint64, count*w)}
-}
+func (r *Real) NewBuffers(count, w int) Buffers { return NewRealBuffers(count, w) }
 
 // Trace implements Memory as a no-op.
 func (r *Real) Trace(int, Event) {}
@@ -84,31 +82,26 @@ func (r *Real) FellBack() int64 { return r.fellBack.Load() }
 
 var _ Memory = (*Real)(nil)
 
-// realBuffers stores count*w words flat; each buffer b occupies words
-// [b*w, (b+1)*w). Per-word atomics make every read/write race-free, which
-// is strictly stronger than the safe registers the paper requires.
-type realBuffers struct {
+// RealBuffers is the Real backend's buffer array: count buffers of w
+// words stored flat, buffer b in words [b*w, (b+1)*w). One build rule
+// picks how a buffer is copied. Under amd64 && !race a copy is a plain
+// memmove (copy_plain.go, which argues why that is sound); every other
+// build, -race included, copies word by word through sync/atomic
+// (copy_atomic.go).
+type RealBuffers struct {
 	w     int
-	words []atomic.Uint64
+	words []bufWord
 }
 
-func (b *realBuffers) W() int { return b.w }
-
-func (b *realBuffers) ReadBuf(p, buf int, dst []uint64) {
-	base := buf * b.w
-	for i := range dst {
-		dst[i] = b.words[base+i].Load()
-	}
+// NewRealBuffers returns count zeroed buffers of w words each.
+func NewRealBuffers(count, w int) *RealBuffers {
+	return &RealBuffers{w: w, words: make([]bufWord, count*w)}
 }
 
-func (b *realBuffers) WriteBuf(p, buf int, src []uint64) {
-	base := buf * b.w
-	for i, v := range src {
-		b.words[base+i].Store(v)
-	}
-}
+// W implements Buffers.
+func (b *RealBuffers) W() int { return b.w }
 
 // PhysBytes reports the buffer array's physical size.
-func (b *realBuffers) PhysBytes() int64 { return int64(len(b.words)) * 8 }
+func (b *RealBuffers) PhysBytes() int64 { return int64(len(b.words)) * 8 }
 
-var _ Buffers = (*realBuffers)(nil)
+var _ Buffers = (*RealBuffers)(nil)

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -68,7 +70,7 @@ func TestRealBuffersRoundTrip(t *testing.T) {
 }
 
 // TestRealBuffersConcurrentDisjoint writes disjoint buffers from many
-// goroutines; with the race detector this validates the flat-atomics layout.
+// goroutines; with the race detector this validates the flat layout.
 func TestRealBuffersConcurrentDisjoint(t *testing.T) {
 	const n, w = 8, 16
 	r := NewReal(n, SubstrateTagged)
@@ -96,6 +98,16 @@ func TestRealBuffersConcurrentDisjoint(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+}
+
+// TestCopyRuleMatchesBuild pins which copies each build compiles in:
+// plain words exactly under amd64 && !race, atomic words everywhere else.
+func TestCopyRuleMatchesBuild(t *testing.T) {
+	plain := reflect.TypeFor[bufWord]() == reflect.TypeFor[uint64]()
+	if want := runtime.GOARCH == "amd64" && !raceBuild; plain != want {
+		t.Fatalf("GOARCH=%s race=%v: buffer word is %v, want plain=%v",
+			runtime.GOARCH, raceBuild, reflect.TypeFor[bufWord](), want)
+	}
 }
 
 func TestWordKindString(t *testing.T) {
